@@ -301,6 +301,9 @@ func Sweep(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
 	if opts.Shard.Enabled() {
 		res.Shard = &ShardInfo{Index: opts.Shard.Index, Count: opts.Shard.Count}
 	}
+	// One commissioner for the whole sweep: its bundles live only as long as
+	// the sweep does, so no security state outlives the call.
+	comm := &worksite.Commissioner{}
 	for _, name := range names {
 		spec, err := scenario.Get(name)
 		if err != nil {
@@ -319,10 +322,12 @@ func Sweep(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
 				}
 				cell.specHash = h
 			}
-			// One shared commission per cell: every seed forks the batch's
-			// established security state instead of re-running keygen and
-			// handshakes (byte-identical output — scenario.Batch's contract).
-			batch, err := scenario.NewBatch(cell.spec)
+			// Every cell shares the sweep's commissioner: the first seed that
+			// simulates commissions the bundle for its drone setting, later
+			// seeds of every cell fork it (byte-identical output —
+			// scenario.Batch's contract), and seeds served from the cache or
+			// checkpoint never commission at all.
+			batch, err := scenario.NewBatchWith(cell.spec, comm)
 			if err != nil {
 				return nil, fmt.Errorf("sweep %s/%s: %w", name, profName, err)
 			}
@@ -363,8 +368,8 @@ type sweepEnv struct {
 }
 
 // cellRef names one (scenario, profile) cell with its compiled spec, the
-// cell's shared-commission batch, and — when the cache is on — the spec's
-// canonical hash, computed once per cell.
+// cell's batch over the sweep's commissioner, and — when the cache is on —
+// the spec's canonical hash, computed once per cell.
 type cellRef struct {
 	scenario string
 	profile  string

@@ -25,12 +25,10 @@ func FuzzSealOpen(f *testing.F) {
 	f.Add([]byte("x"), uint16(65535), uint8(255)) // flip position wraps
 
 	f.Fuzz(func(t *testing.T, payload []byte, flipIdx uint16, flipBit uint8) {
-		// The unpooled twin must share the pooled pair's session keys, and a
-		// second handshake would not reproduce them: Go's X25519 keygen
-		// deliberately consumes a coin-flip byte from its entropy source
-		// (randutil.MaybeReadByte), so ephemeral keys differ run to run.
-		// Forking the established channels shares the keys exactly — and
-		// puts Fork itself under the fuzzer.
+		// The unpooled twin must share the pooled pair's session keys. A
+		// second handshake from the same seed would reproduce them too
+		// (TestHandshakeReproducible), but forking the established channels
+		// is what puts Fork itself under the fuzzer.
 		pooled := handshakePair(t, Options{})
 		upInit, err := pooled.init.Fork()
 		if err != nil {

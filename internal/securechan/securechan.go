@@ -193,7 +193,14 @@ func (c *Channel) HandleHandshake(msg []byte) ([]byte, error) {
 }
 
 func (c *Channel) makeHello(sig []byte) ([]byte, error) {
-	eph, err := ecdh.X25519().GenerateKey(c.opts.Rand)
+	// The ephemeral key is exactly 32 bytes of Rand. GenerateKey would not
+	// do: it may read one extra byte at random (randutil.MaybeReadByte), so
+	// equal seeds would not give equal handshakes.
+	var seed [32]byte
+	if _, err := io.ReadFull(c.opts.Rand, seed[:]); err != nil {
+		return nil, fmt.Errorf("%w: ephemeral key: %v", ErrHandshake, err)
+	}
+	eph, err := ecdh.X25519().NewPrivateKey(seed[:])
 	if err != nil {
 		return nil, fmt.Errorf("%w: ephemeral key: %v", ErrHandshake, err)
 	}

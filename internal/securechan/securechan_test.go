@@ -94,6 +94,35 @@ func TestHandshakeAndRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHandshakeReproducible: two handshakes from equal rng seeds produce
+// identical transcripts on both sides and identical first records in both
+// directions, so commissioning is a pure function of the seed.
+func TestHandshakeReproducible(t *testing.T) {
+	a, b := handshakePair(t, Options{}), handshakePair(t, Options{})
+	if !bytes.Equal(a.init.transcript, b.init.transcript) {
+		t.Fatal("initiator transcripts differ between two handshakes from one seed")
+	}
+	if !bytes.Equal(a.resp.transcript, b.resp.transcript) {
+		t.Fatal("responder transcripts differ between two handshakes from one seed")
+	}
+	for _, dir := range []struct {
+		name   string
+		ca, cb *Channel
+	}{{"initiator", a.init, b.init}, {"responder", a.resp, b.resp}} {
+		ra, err := dir.ca.Seal([]byte("first record"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := dir.cb.Seal([]byte("first record"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ra, rb) {
+			t.Fatalf("%s first records differ:\n  %x\n  %x", dir.name, ra, rb)
+		}
+	}
+}
+
 func TestPeerCertExposed(t *testing.T) {
 	p := handshakePair(t, Options{})
 	cert, ok := p.init.PeerCert()

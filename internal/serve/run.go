@@ -167,9 +167,12 @@ func profileLabel(spec scenario.Spec) string {
 	}
 }
 
-// handleSubmitRun is POST /v1/runs: validate, commission the session
+// handleSubmitRun is POST /v1/runs: validate, build the session
 // synchronously (so every rejection is a 4xx, not a failed job), register
-// the job and run it on its own goroutine.
+// the job and run it on its own goroutine. The session forks the secure
+// channels of the server's shared bundle, so a run pays for keygen and
+// handshakes only if it is the first to need that bundle since the server
+// started.
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var req runRequest
 	if apiErr := decodeBody(w, r, &req); apiErr != nil {
@@ -197,9 +200,13 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, apiErr)
 		return
 	}
-	// Commission now: Build validates the compiled config, so an
-	// unrunnable spec is rejected with 422 before a job ever exists.
-	sess, _, err := scenario.Build(spec, seed, horizon)
+	// Build now: building validates the compiled config, so an unrunnable
+	// spec is rejected with 422 before a job ever exists.
+	batch, err := scenario.NewBatchWith(spec, &s.comm)
+	var sess *worksite.Session
+	if err == nil {
+		sess, _, err = batch.Build(seed, horizon)
+	}
 	if err != nil {
 		s.releaseJobSlot()
 		writeError(w, specError(err))

@@ -6,13 +6,14 @@
 // graceful drain.
 //
 // The package deliberately reuses the engine's existing seams instead of
-// inventing new ones: a submitted spec goes through the same
-// scenario.Parse/Get → scenario.Build pipeline the worksim façade uses, so a
-// daemon run's report JSON is byte-identical to an in-process
-// worksim.Open(...).Run at the same (spec, profile, seed, horizon); the SSE
-// payload is exactly the `worksite-sim -trace` JSON-lines encoding
-// (internal/tracefmt); and sweeps fan out on the campaign engine's bounded
-// pool with its cancellation semantics.
+// inventing new ones: a submitted spec goes through scenario.Parse/Get and
+// the scenario compiler the worksim façade uses, over a security bundle the
+// server commissions once and shares (key material never reaches an
+// observable byte), so a daemon run's report JSON is byte-identical to an
+// in-process worksim.Open(...).Run at the same (spec, profile, seed,
+// horizon); the SSE payload is exactly the `worksite-sim -trace` JSON-lines
+// encoding (internal/tracefmt); and sweeps fan out on the campaign engine's
+// bounded pool with its cancellation semantics.
 //
 // Lifecycle: POST /v1/runs registers a job and returns immediately with an
 // ID; the run advances on its own goroutine, feeding a bounded in-memory
@@ -35,6 +36,8 @@ import (
 	"net/http"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/worksite"
 )
 
 // Defaults applied by New for zero Config fields.
@@ -56,6 +59,12 @@ const (
 	DefaultHorizon       = 10 * time.Minute
 	// maxRequestBody bounds request bodies (a scenario spec is ~1 KiB).
 	maxRequestBody = 1 << 20
+	// readHeaderTimeout bounds how long a client may take to send its
+	// request headers, so a slow sender cannot hold a connection forever.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout closes keep-alive connections that carry no request for
+	// this long. No write timeout is set: SSE streams are long-lived writes.
+	idleTimeout = 2 * time.Minute
 )
 
 // Config configures a Server. The zero value is serveable: no auth (every
@@ -108,6 +117,10 @@ type Server struct {
 
 	runs   *registry[*runJob]
 	sweeps *registry[*sweepJob]
+
+	// comm commissions the shared security bundles every run forks, once
+	// per bundle for the server's lifetime.
+	comm worksite.Commissioner
 
 	jobs     jobGroup
 	active   atomic.Int64
@@ -191,7 +204,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	httpSrv := &http.Server{Handler: s.handler}
+	httpSrv := s.httpServer()
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 	select {
@@ -201,6 +214,12 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	case <-ctx.Done():
 	}
 	return s.drain(httpSrv)
+}
+
+// httpServer is the http.Server Serve runs: the API handler with the
+// connection timeouts a long-lived daemon needs.
+func (s *Server) httpServer() *http.Server {
+	return &http.Server{Handler: s.handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // ListenAndServe binds addr and calls Serve. It reports the bound address

@@ -214,3 +214,19 @@ func TestRegistryIDsAndOrder(t *testing.T) {
 		t.Fatalf("all() not in ID order: %v", all)
 	}
 }
+
+// TestHTTPServerTimeouts: the http.Server that Serve runs bounds how long a
+// client may take to send its headers and how long an idle keep-alive
+// connection lives, and leaves writes unbounded for long-lived SSE streams.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := New(Config{}).httpServer()
+	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v > 0", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.IdleTimeout != idleTimeout || idleTimeout <= 0 {
+		t.Fatalf("IdleTimeout = %v, want %v > 0", srv.IdleTimeout, idleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Fatalf("WriteTimeout = %v, want 0 so event streams are not cut", srv.WriteTimeout)
+	}
+}

@@ -9,17 +9,22 @@ import (
 
 // SharedSecurity is the seed-invariant half of security commissioning: the
 // site CA, the issued machine identities, and the pairwise channels already
-// taken through their handshakes. A batch builds it once; every per-seed
-// session then forks the established channels instead of re-running keygen,
-// issuance and four SIGMA handshakes.
+// taken through their handshakes. Sessions built over it fork the
+// established channels instead of re-running keygen, issuance and four SIGMA
+// handshakes. A Commissioner builds each distinct bundle once for its owner:
+// a campaign sweep shares one bundle per drone setting across every cell and
+// seed, and the worksimd daemon shares one per drone setting across every
+// run it serves.
 //
-// Sharing key material across seeds is sound because no simulation-observable
-// byte depends on it: record lengths are key-independent, replay and decrypt
-// rejections carry constant or sequence-derived detail, and packet-drop
-// decisions are position- and rng-driven. Skipping the per-session "pki" and
-// "handshakes" rng streams is equally invisible — rng.Derive children are
-// independent, so sibling streams never shift. The OpenBatch-vs-Open
-// differential test in the worksim facade locks both claims byte for byte.
+// Sharing key material across seeds, scenarios and jobs is sound because no
+// simulation-observable byte depends on it: record lengths are
+// key-independent, replay and decrypt rejections carry constant or
+// sequence-derived detail, and packet-drop decisions are position- and
+// rng-driven. Skipping the per-session "pki" and "handshakes" rng streams is
+// equally invisible — rng.Derive children are independent, so sibling
+// streams never shift. The key-blind test in internal/scenario (two bundles
+// under different key seeds give identical bytes) and the OpenBatch-vs-Open
+// differential test in the worksim facade lock both claims byte for byte.
 //
 // The bundle is immutable after CommissionSecurity returns and safe for
 // concurrent forking from pool workers.

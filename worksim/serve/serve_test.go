@@ -18,6 +18,7 @@ import (
 
 	"repro/worksim"
 	"repro/worksim/serve"
+	"repro/worksim/trace"
 )
 
 // checkGoroutineLeak snapshots the live goroutine count and returns a
@@ -173,6 +174,73 @@ func TestRunLifecycleByteIdenticalReport(t *testing.T) {
 	}
 	if !bytes.Equal(final.Report, want) {
 		t.Fatalf("daemon report is not byte-identical to the in-process run:\ndaemon: %s\ndirect: %s", final.Report, want)
+	}
+}
+
+// TestRunsShareCommissioning: one server commissions each security bundle
+// once and every later run forks it — secured baseline, then no-drone (the
+// other bundle), then baseline again at another seed (the first bundle,
+// reused). Each run's report and SSE event stream must be byte-identical to
+// an in-process worksim.Open of the same run, which commissions its own.
+func TestRunsShareCommissioning(t *testing.T) {
+	ts := newTestServer(t, serve.Config{})
+	const horizon = 2 * time.Minute
+	for _, run := range []struct {
+		scenario string
+		seed     int64
+	}{{"baseline", 7}, {"no-drone", 7}, {"baseline", 11}} {
+		var st runStatus
+		code := postJSON(t, ts.URL+"/v1/runs",
+			fmt.Sprintf(`{"scenario":%q,"profile":"secured","seed":%d,"horizonNs":%d}`, run.scenario, run.seed, int64(horizon)), &st)
+		if code != http.StatusAccepted {
+			t.Fatalf("%s seed %d: POST /v1/runs: status %d", run.scenario, run.seed, code)
+		}
+		final := pollRun(t, ts.URL, st.ID, func(s runStatus) bool { return s.State.Terminal() })
+		if final.State != serve.StateDone {
+			t.Fatalf("%s seed %d: run ended %s (error %q)", run.scenario, run.seed, final.State, final.Error)
+		}
+		resp, err := http.Get(ts.URL + "/v1/runs/" + st.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := readSSE(t, resp.Body, 1<<20)
+		resp.Body.Close()
+		var stream bytes.Buffer
+		for _, f := range frames {
+			if f.event != "end" {
+				stream.WriteString(f.data + "\n")
+			}
+		}
+
+		spec, err := worksim.Lookup(run.scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		w := trace.NewWriter(&want)
+		sess, err := worksim.Open(spec, worksim.WithSeed(run.seed), worksim.WithHorizon(horizon),
+			worksim.WithProfile(worksim.Secured()), worksim.WithObserver(w.Observer()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sess.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		wantReport, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(final.Report, wantReport) {
+			t.Errorf("%s seed %d: daemon report differs from the in-process run", run.scenario, run.seed)
+		}
+		if !bytes.Equal(stream.Bytes(), want.Bytes()) {
+			t.Errorf("%s seed %d: daemon event stream (%d bytes) differs from the in-process trace (%d bytes)",
+				run.scenario, run.seed, stream.Len(), want.Len())
+		}
 	}
 }
 
