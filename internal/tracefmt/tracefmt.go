@@ -7,13 +7,20 @@
 // that expose live event feeds — `worksite-sim -trace` writes the lines to a
 // file or stdout, and the worksimd daemon replays them as Server-Sent-Event
 // payloads — so the schema can never fork between the CLI and the service.
+//
+// A line is exactly json.Marshal(Line{...}). Tick snapshots, nearly every
+// line of a trace, are encoded without reflection by appendTickLine, which
+// emits the same bytes; every other event kind, and any tick holding a value
+// the fast encoder does not cover, goes through encoding/json.
 package tracefmt
 
 import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"strconv"
 
+	"repro/internal/jsonenc"
 	"repro/internal/worksite"
 )
 
@@ -27,7 +34,68 @@ type Line struct {
 // newline — the exact bytes a Writer emits for the same event, and the exact
 // SSE data: payload the daemon streams.
 func Marshal(e worksite.Event) ([]byte, error) {
+	// The daemon keeps every line, so encode on the stack and return an
+	// exact-size copy. 512 bytes holds any tick with realistic values.
+	var scratch [512]byte
+	if b, ok := appendLine(scratch[:0], e); ok {
+		return append([]byte(nil), b...), nil
+	}
 	return json.Marshal(Line{Event: e.EventKind(), Data: e})
+}
+
+// appendLine appends e's line without reflection, or reports false when e's
+// kind or one of its values has no fast encoding.
+func appendLine(dst []byte, e worksite.Event) ([]byte, bool) {
+	if t, ok := e.(worksite.TickSnapshot); ok {
+		return appendTickLine(dst, &t)
+	}
+	return dst, false
+}
+
+// appendTickLine appends json.Marshal(Line{Event: "tick", Data: *t}) to dst.
+// It returns ok=false, with dst in an unspecified state past its original
+// length, when t holds a string jsonenc.AppendString does not cover or a NaN
+// or infinite number.
+//
+//worksim:hotpath
+func appendTickLine(dst []byte, t *worksite.TickSnapshot) ([]byte, bool) {
+	ok := true
+	dst = append(dst, `{"event":"tick","data":{"n":`...)
+	dst = strconv.AppendInt(dst, int64(t.N), 10)
+	dst = append(dst, `,"atNs":`...)
+	dst = strconv.AppendInt(dst, int64(t.At), 10)
+	dst = append(dst, `,"mission":`...)
+	dst, ok = jsonenc.AppendString(dst, t.Mission, ok)
+	dst = append(dst, `,"mode":`...)
+	dst, ok = jsonenc.AppendString(dst, t.Mode, ok)
+	dst = append(dst, `,"truePos":{"x":`...)
+	dst, ok = jsonenc.AppendFloat(dst, t.TruePos.X, ok)
+	dst = append(dst, `,"y":`...)
+	dst, ok = jsonenc.AppendFloat(dst, t.TruePos.Y, ok)
+	dst = append(dst, `},"believedPos":{"x":`...)
+	dst, ok = jsonenc.AppendFloat(dst, t.BelievedPos.X, ok)
+	dst = append(dst, `,"y":`...)
+	dst, ok = jsonenc.AppendFloat(dst, t.BelievedPos.Y, ok)
+	dst = append(dst, `},"navErrM":`...)
+	dst, ok = jsonenc.AppendFloat(dst, t.NavErrM, ok)
+	dst = append(dst, `,"minWorkerDistM":`...)
+	dst, ok = jsonenc.AppendFloat(dst, t.MinWorkerDistM, ok)
+	dst = append(dst, `,"unsafe":`...)
+	dst = jsonenc.AppendBool(dst, t.Unsafe)
+	dst = append(dst, `,"colliding":`...)
+	dst = jsonenc.AppendBool(dst, t.Colliding)
+	dst = append(dst, `,"stopped":`...)
+	dst = jsonenc.AppendBool(dst, t.Stopped)
+	dst = append(dst, `,"logsDelivered":`...)
+	dst = strconv.AppendInt(dst, int64(t.LogsDelivered), 10)
+	dst = append(dst, `,"collisions":`...)
+	dst = strconv.AppendInt(dst, int64(t.Collisions), 10)
+	dst = append(dst, `,"unsafeEpisodes":`...)
+	dst = strconv.AppendInt(dst, int64(t.UnsafeEpisodes), 10)
+	dst = append(dst, `,"alerts":`...)
+	dst = strconv.AppendInt(dst, int64(t.Alerts), 10)
+	dst = append(dst, "}}"...)
+	return dst, ok
 }
 
 // Observer adapts a per-event callback into a full worksite.Observer: every
@@ -56,9 +124,10 @@ func Observer(fn func(worksite.Event)) worksite.Observer {
 // flushed Writer never leaves a truncated line behind for events it
 // observed.
 type Writer struct {
-	bw  *bufio.Writer
-	enc *json.Encoder
-	err error
+	bw   *bufio.Writer
+	enc  *json.Encoder
+	line []byte // reused scratch for fast-encoded lines
+	err  error
 }
 
 // NewWriter returns a Writer streaming JSON lines to w.
@@ -76,6 +145,11 @@ func (w *Writer) Observer() worksite.Observer {
 // encode writes one event line, latching the first error.
 func (w *Writer) encode(e worksite.Event) {
 	if w.err != nil {
+		return
+	}
+	if b, ok := appendLine(w.line[:0], e); ok {
+		w.line = append(b, '\n')
+		_, w.err = w.bw.Write(w.line)
 		return
 	}
 	w.err = w.enc.Encode(Line{Event: e.EventKind(), Data: e})

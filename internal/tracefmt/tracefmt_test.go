@@ -2,12 +2,16 @@ package tracefmt
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/geo"
+	"repro/internal/scenario"
 	"repro/internal/worksite"
 )
 
@@ -144,4 +148,178 @@ func TestWriterLatchesError(t *testing.T) {
 	if err := w.Flush(); err == nil {
 		t.Fatal("error did not stay latched across Flush calls")
 	}
+}
+
+// stdLine is the reference encoding every trace line must match byte for
+// byte.
+func stdLine(t *testing.T, e worksite.Event) []byte {
+	t.Helper()
+	b, err := json.Marshal(Line{Event: e.EventKind(), Data: e})
+	if err != nil {
+		t.Fatalf("json.Marshal(%T): %v", e, err)
+	}
+	return b
+}
+
+// checkTick asserts appendTickLine's contract for one tick: it either
+// declines (ok=false) or appends exactly json.Marshal(Line{...})'s bytes after
+// dst's existing contents. It reports ok.
+func checkTick(t *testing.T, tick worksite.TickSnapshot) bool {
+	t.Helper()
+	const prefix = "prefix"
+	got, ok := appendTickLine([]byte(prefix), &tick)
+	if !ok {
+		return false
+	}
+	want, err := json.Marshal(Line{Event: tick.EventKind(), Data: tick})
+	if err != nil {
+		t.Fatalf("fast encoder accepted a tick encoding/json rejects (%v): %+v", err, tick)
+	}
+	if string(got[:len(prefix)]) != prefix || !bytes.Equal(got[len(prefix):], want) {
+		t.Fatalf("fast encoder diverges from encoding/json on %+v:\nfast: %s\nstd:  %s", tick, got, want)
+	}
+	return true
+}
+
+// TestTickEncoderDifferential pins appendTickLine against encoding/json on
+// the float and string edges, and pins which of them the fast path covers.
+func TestTickEncoderDifferential(t *testing.T) {
+	base := worksite.TickSnapshot{N: 7, At: 3500 * time.Millisecond, Mission: "to-harvest", Mode: "normal",
+		TruePos: geo.V(61.25, 100), BelievedPos: geo.V(61.3, 99.98), NavErrM: 0.054, MinWorkerDistM: -1,
+		Unsafe: true, Stopped: true, LogsDelivered: 3, Collisions: 1, UnsafeEpisodes: 2, Alerts: 12}
+	floats := []struct {
+		f  float64
+		ok bool
+	}{
+		{0, true}, {math.Copysign(0, -1), true}, {1e-6, true}, {1e-7, true}, {-1e-7, true},
+		{1e20, true}, {1e21, true}, {-1e21, true}, {5e-324, true}, {math.MaxFloat64, true},
+		{-math.MaxFloat64, true}, {1e-9, true}, {123.456789012345, true},
+		{math.NaN(), false}, {math.Inf(1), false}, {math.Inf(-1), false},
+	}
+	for _, c := range floats {
+		for field := 0; field < 6; field++ {
+			tick := base
+			*[]*float64{&tick.TruePos.X, &tick.TruePos.Y, &tick.BelievedPos.X,
+				&tick.BelievedPos.Y, &tick.NavErrM, &tick.MinWorkerDistM}[field] = c.f
+			if ok := checkTick(t, tick); ok != c.ok {
+				t.Errorf("float %v in field %d: fast path ok=%v, want %v", c.f, field, ok, c.ok)
+			}
+		}
+	}
+	strs := []struct {
+		s  string
+		ok bool
+	}{
+		{"", true}, {"to-landing", true}, {"<", false}, {">", false}, {"&", false},
+		{`"`, false}, {`\`, false}, {"\x01", false}, {"\x7f", false}, {"caf\u00e9", false},
+		{"\xff", false},
+	}
+	for _, c := range strs {
+		for _, tick := range []worksite.TickSnapshot{
+			{Mission: c.s, Mode: "normal"}, {Mission: "loading", Mode: c.s},
+		} {
+			if ok := checkTick(t, tick); ok != c.ok {
+				t.Errorf("string %q: fast path ok=%v, want %v", c.s, ok, c.ok)
+			}
+		}
+	}
+	ints := worksite.TickSnapshot{N: math.MinInt, At: math.MaxInt64, LogsDelivered: math.MaxInt,
+		Collisions: -1, UnsafeEpisodes: 0, Alerts: math.MinInt}
+	if !checkTick(t, ints) || !checkTick(t, worksite.TickSnapshot{}) {
+		t.Error("fast path declined a tick with plain values")
+	}
+}
+
+// FuzzTraceTick drives appendTickLine with arbitrary field values: every
+// tick it accepts must encode to exactly json.Marshal(Line{...})'s bytes.
+func FuzzTraceTick(f *testing.F) {
+	f.Add(7, int64(3500000000), "to-harvest", "normal", 61.25, 100.0, 61.3, 99.98, 0.054, -1.0,
+		true, false, true, 3, 1, 2, 12)
+	f.Add(-1, int64(-1), "a<b", "caf\u00e9", 1e-7, 1e21, -0.0, 5e-324, 1e300, 0.0,
+		false, true, false, 0, 0, 0, 0)
+	f.Fuzz(func(t *testing.T, n int, at int64, mission, mode string, tx, ty, bx, by, navErr, minDist float64,
+		unsafe, colliding, stopped bool, logs, collisions, episodes, alerts int) {
+		checkTick(t, worksite.TickSnapshot{N: n, At: time.Duration(at), Mission: mission, Mode: mode,
+			TruePos: geo.V(tx, ty), BelievedPos: geo.V(bx, by), NavErrM: navErr, MinWorkerDistM: minDist,
+			Unsafe: unsafe, Colliding: colliding, Stopped: stopped, LogsDelivered: logs,
+			Collisions: collisions, UnsafeEpisodes: episodes, Alerts: alerts})
+	})
+}
+
+// TestMarshalTickAllocs: a tick line is encoded on the stack, so Marshal's
+// only allocation is the exact-size line it returns.
+func TestMarshalTickAllocs(t *testing.T) {
+	var e worksite.Event = worksite.TickSnapshot{N: 1234567, At: 617 * time.Second, Mission: "to-landing",
+		Mode: "cautious", TruePos: geo.V(-123.45678901234567, 98765.4321098765),
+		BelievedPos: geo.V(-123.45678901234, 98765.43210987), NavErrM: 1.2345678901234567e-7,
+		MinWorkerDistM: 12345.678901234567, LogsDelivered: 1 << 40, Collisions: 1 << 40,
+		UnsafeEpisodes: 1 << 40, Alerts: 1 << 40}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Marshal(e); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("Marshal(tick) = %v allocs/op, want exactly 1", allocs)
+	}
+}
+
+// TestCatalogTraceIdentity runs every catalog scenario under both profiles
+// and checks every event line against encoding/json: Marshal must return
+// json.Marshal(Line{...}) exactly, every tick must take the fast path, and a
+// Writer must emit those lines, each followed by a newline.
+func TestCatalogTraceIdentity(t *testing.T) {
+	const (
+		seed    = 1
+		horizon = 4 * time.Minute
+	)
+	events := 0
+	for _, name := range scenario.List() {
+		for _, profName := range scenario.Profiles() {
+			spec, err := scenario.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prof, err := scenario.ResolveProfile(profName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, _, err := scenario.Build(spec.WithProfile(prof), seed, horizon)
+			if err != nil {
+				t.Fatalf("%s/%s: build: %v", name, profName, err)
+			}
+			var trace, want bytes.Buffer
+			w := NewWriter(&trace)
+			sess.Subscribe(w.Observer())
+			sess.Subscribe(Observer(func(e worksite.Event) {
+				got, err := Marshal(e)
+				if err != nil {
+					t.Fatalf("%s/%s: Marshal(%T): %v", name, profName, e, err)
+				}
+				if std := stdLine(t, e); !bytes.Equal(got, std) {
+					t.Fatalf("%s/%s: Marshal(%T) diverges from encoding/json:\ngot:  %s\nwant: %s",
+						name, profName, e, got, std)
+				}
+				if tick, ok := e.(worksite.TickSnapshot); ok {
+					if _, ok := appendTickLine(nil, &tick); !ok {
+						t.Errorf("%s/%s: tick %d fell back to encoding/json", name, profName, tick.N)
+					}
+				}
+				want.Write(got)
+				want.WriteByte('\n')
+				events++
+			}))
+			if _, err := sess.Run(context.Background(), horizon); err != nil {
+				t.Fatalf("%s/%s: run: %v", name, profName, err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(trace.Bytes(), want.Bytes()) {
+				t.Fatalf("%s/%s: Writer output (%d bytes) differs from the Marshal lines (%d bytes)",
+					name, profName, trace.Len(), want.Len())
+			}
+		}
+	}
+	t.Logf("%d events byte-identical to encoding/json", events)
 }

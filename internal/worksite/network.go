@@ -387,24 +387,38 @@ func (s *Site) associateLinks() error {
 	return s.sched.Run(50 * time.Millisecond)
 }
 
+// sendBufSize is the initial capacity of a site's wire-message buffer. It
+// holds the largest message most catalog sites ever send (a detections
+// message of under 700 bytes), so appendWireMsg starts each site with one
+// allocation instead of growing the buffer message by message.
+const sendBufSize = 1024
+
 // send transmits an application message from -> to, sealing it when the
 // secured profile is active. Send errors are expected under attack (link
 // torn down) and are absorbed as lost traffic.
 //
-// Encoding reuses the site's buffer and encoder: Encode produces exactly
-// json.Marshal's bytes plus a trailing newline (trimmed below), and the
-// adapter copies the payload into its own frame storage before Transmit
-// returns, so the buffer is free for the next message immediately.
+// Encoding appends json.Marshal's bytes into the storage of the site's
+// reused buffer with appendWireMsg. The few messages it does not cover go
+// through the site's encoder instead, whose output is the same bytes plus a
+// trailing newline (trimmed below); one it rejects (a NaN or infinite
+// number) is dropped. The adapter copies the payload into its own frame
+// storage before Transmit returns, so the buffer is free for the next
+// message immediately.
 //
 //worksim:hotpath
 func (s *Site) send(from, to radio.NodeID, msg wireMsg) {
-	s.sendScratch = msg
 	s.sendBuf.Reset()
-	if err := s.sendEnc.Encode(&s.sendScratch); err != nil {
-		return
+	payload, ok := appendWireMsg(s.sendBuf.AvailableBuffer(), &msg)
+	if ok {
+		s.sendBuf.Write(payload) // keeps the storage if appending grew it
+	} else {
+		s.sendScratch = msg
+		if err := s.sendEnc.Encode(&s.sendScratch); err != nil {
+			return
+		}
+		payload = s.sendBuf.Bytes()
+		payload = payload[:len(payload)-1]
 	}
-	payload := s.sendBuf.Bytes()
-	payload = payload[:len(payload)-1]
 	if s.cfg.Profile.SecureChannels {
 		ch := s.channels[chanKey{from, to}]
 		if ch == nil {

@@ -5,15 +5,21 @@ import (
 	"unsafe"
 
 	"repro/internal/geo"
+	"repro/internal/jsonenc"
 	"repro/internal/sensors"
 )
 
 // Wire-message fast codec.
 //
 // Every application message on the worksite network is a JSON-encoded
-// wireMsg, produced by encoding/json; the drone streams one detections
-// message per control tick, so decoding is squarely on the simulation's hot
-// path. fastParseWireMsg parses exactly the closed grammar encoding/json
+// wireMsg, carrying exactly the bytes json.Marshal would produce: the drone
+// streams one detections message per control tick, so both directions are
+// squarely on the simulation's hot path. appendWireMsg emits those bytes
+// without reflection for the messages the engine actually sends (plain ASCII
+// strings, finite numbers) and reports false for anything else, which the
+// sender then encodes with encoding/json; the byte count is what netsim
+// charges airtime for, so the two encoders must never differ
+// (FuzzWireEncode locks that). fastParseWireMsg parses exactly the closed grammar encoding/json
 // emits for wireMsg — ASCII strings without escapes, JSON numbers, the known
 // key set — into a caller-owned message without allocating (strings are
 // interned, the detections slice is reused). Anything outside that grammar
@@ -22,6 +28,79 @@ import (
 // fast path can only ever accept inputs the stdlib would accept, with
 // identical results, and every divergent or hostile input is judged by the
 // stdlib itself. TestWireCodecDifferential locks that equivalence.
+
+// appendWireMsg appends json.Marshal(m) to dst. It returns ok=false, with dst
+// in an unspecified state past its original length, when m holds a string
+// jsonenc.AppendString does not cover or a NaN or infinite number; the caller
+// then encodes m with encoding/json instead. Fields follow the struct order
+// and omitempty rules of wireMsg: zero numbers (including -0), false, "" and
+// empty or nil detections are left out.
+//
+//worksim:hotpath
+func appendWireMsg(dst []byte, m *wireMsg) ([]byte, bool) {
+	ok := true
+	dst = append(dst, `{"type":`...)
+	dst, ok = jsonenc.AppendString(dst, m.Type, ok)
+	dst = append(dst, `,"from":`...)
+	dst, ok = jsonenc.AppendString(dst, m.From, ok)
+	if m.Seq != 0 {
+		dst = append(dst, `,"seq":`...)
+		dst = strconv.AppendUint(dst, m.Seq, 10)
+	}
+	if m.PosX != 0 {
+		dst = append(dst, `,"posX":`...)
+		dst, ok = jsonenc.AppendFloat(dst, m.PosX, ok)
+	}
+	if m.PosY != 0 {
+		dst = append(dst, `,"posY":`...)
+		dst, ok = jsonenc.AppendFloat(dst, m.PosY, ok)
+	}
+	if m.State != "" {
+		dst = append(dst, `,"state":`...)
+		dst, ok = jsonenc.AppendString(dst, m.State, ok)
+	}
+	if m.GNSSOK {
+		dst = append(dst, `,"gnssOk":true`...)
+	}
+	if m.GNSSWhy != "" {
+		dst = append(dst, `,"gnssWhy":`...)
+		dst, ok = jsonenc.AppendString(dst, m.GNSSWhy, ok)
+	}
+	if len(m.Detections) > 0 {
+		dst = append(dst, `,"detections":[`...)
+		for i := range m.Detections {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst, ok = appendDetection(dst, &m.Detections[i], ok)
+		}
+		dst = append(dst, ']')
+	}
+	if m.Command != "" {
+		dst = append(dst, `,"command":`...)
+		dst, ok = jsonenc.AppendString(dst, m.Command, ok)
+	}
+	dst = append(dst, '}')
+	return dst, ok
+}
+
+//worksim:hotpath
+func appendDetection(dst []byte, d *sensors.Detection, ok bool) ([]byte, bool) {
+	dst = append(dst, `{"targetId":`...)
+	dst, ok = jsonenc.AppendString(dst, d.TargetID, ok)
+	dst = append(dst, `,"pos":{"x":`...)
+	dst, ok = jsonenc.AppendFloat(dst, d.Pos.X, ok)
+	dst = append(dst, `,"y":`...)
+	dst, ok = jsonenc.AppendFloat(dst, d.Pos.Y, ok)
+	dst = append(dst, `},"confidence":`...)
+	dst, ok = jsonenc.AppendFloat(dst, d.Confidence, ok)
+	dst = append(dst, `,"sensor":`...)
+	dst, ok = jsonenc.AppendString(dst, d.Sensor, ok)
+	dst = append(dst, `,"falsePositive":`...)
+	dst = jsonenc.AppendBool(dst, d.FalsePositive)
+	dst = append(dst, '}')
+	return dst, ok
+}
 
 // internTable deduplicates the small closed set of strings that ride the
 // wire (message types, node names, states, sensor names, verdict reasons) so

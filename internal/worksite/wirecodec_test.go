@@ -1,7 +1,9 @@
 package worksite
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
@@ -214,4 +216,121 @@ func TestFallbackDecodeDoesNotLeakScratch(t *testing.T) {
 	if got[0].Confidence != 0 || got[0].Sensor != "" || got[0].FalsePositive {
 		t.Fatalf("fallback decode leaked fields from the previous message: %+v", got[0])
 	}
+}
+
+// checkWireEncode asserts appendWireMsg's contract for one message: it
+// either declines (ok=false) or appends exactly json.Marshal's bytes after
+// dst's existing contents, leaving them untouched. It reports ok.
+func checkWireEncode(t *testing.T, m wireMsg) bool {
+	t.Helper()
+	const prefix = "prefix"
+	got, ok := appendWireMsg([]byte(prefix), &m)
+	if !ok {
+		return false
+	}
+	want, err := json.Marshal(m)
+	if err != nil {
+		t.Fatalf("fast encoder accepted a message encoding/json rejects (%v): %+v", err, m)
+	}
+	if string(got[:len(prefix)]) != prefix || !bytes.Equal(got[len(prefix):], want) {
+		t.Fatalf("fast encoder diverges from encoding/json on %+v:\nfast: %s\nstd:  %s", m, got, want)
+	}
+	return true
+}
+
+// TestWireEncodeDifferential pins appendWireMsg against encoding/json on the
+// float, string and omitempty edges, and pins which of them the fast path
+// covers: declining a value the engine sends would silently fall back every
+// tick, and accepting one it cannot encode would change the wire bytes.
+func TestWireEncodeDifferential(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	floats := []struct {
+		f  float64
+		ok bool
+	}{
+		{0, true}, {negZero, true}, {1e-6, true}, {1e-7, true}, {-1e-7, true},
+		{1e20, true}, {1e21, true}, {-1e21, true}, {5e-324, true},
+		{math.MaxFloat64, true}, {123.456789012345, true}, {-3.5, true}, {1e-9, true},
+		{math.NaN(), false}, {math.Inf(1), false}, {math.Inf(-1), false},
+	}
+	for _, c := range floats {
+		msgs := []wireMsg{
+			{Type: "status", From: "forwarder-1", PosX: c.f, PosY: -c.f},
+			{Type: "detections", From: "drone-1", Detections: []sensors.Detection{
+				{TargetID: "worker-1", Pos: geo.V(c.f, 1), Confidence: c.f, Sensor: "camera"},
+			}},
+		}
+		for _, m := range msgs {
+			if ok := checkWireEncode(t, m); ok != c.ok {
+				t.Errorf("float %v: fast path ok=%v, want %v", c.f, ok, c.ok)
+			}
+		}
+	}
+
+	strs := []struct {
+		s  string
+		ok bool
+	}{
+		{"", true}, {"position jump exceeds max speed", true}, {"a~ !#$%'()*+,-./:;=?@[]^_`{|}", true},
+		{"<", false}, {">", false}, {"&", false}, {`"`, false}, {`\`, false},
+		{"tick\ttock", false}, {"\x00", false}, {"\x1f", false}, {"\x7f", false},
+		{"caf\u00e9", false}, {"bad\xff\xfe", false}, {"\u2028", false},
+	}
+	for _, c := range strs {
+		msgs := []wireMsg{
+			{Type: c.s, From: "coordinator"},
+			{Type: "status", From: c.s},
+			{Type: "status", From: "forwarder-1", State: c.s, GNSSWhy: c.s},
+			{Type: "command", From: "coordinator", Command: c.s},
+			{Type: "detections", From: "drone-1", Detections: []sensors.Detection{
+				{TargetID: c.s, Sensor: "camera"}, {TargetID: "worker-2", Sensor: c.s},
+			}},
+		}
+		for _, m := range msgs {
+			if ok := checkWireEncode(t, m); ok != c.ok {
+				t.Errorf("string %q: fast path ok=%v, want %v (message %+v)", c.s, ok, c.ok, m)
+			}
+		}
+	}
+
+	others := []wireMsg{
+		{},
+		{Type: "detections", From: "drone-1", Detections: nil},
+		{Type: "detections", From: "drone-1", Detections: []sensors.Detection{}},
+		{Type: "heartbeat", From: "coordinator", Seq: 1},
+		{Type: "heartbeat", From: "coordinator", Seq: math.MaxUint64},
+		{Type: "status", From: "forwarder-1", GNSSOK: true},
+		{Type: "detections", From: "drone-1", Detections: []sensors.Detection{{FalsePositive: true}, {}}},
+	}
+	for _, m := range others {
+		if !checkWireEncode(t, m) {
+			t.Errorf("fast path declined %+v", m)
+		}
+	}
+}
+
+// FuzzWireEncode drives appendWireMsg with arbitrary field values: every
+// message it accepts must encode to exactly json.Marshal's bytes.
+func FuzzWireEncode(f *testing.F) {
+	f.Add("detections", "drone-1", uint64(0), 204.35, 199.9, "driving", true, "", "",
+		uint8(2), "worker-1", 1.5, -2.0, 0.92, "aerial-camera", false)
+	f.Add("status", "forwarder-1", uint64(7), -1e-7, 1e21, "", false, "jump <5m>", "clear-stops",
+		uint8(0), "", 0.0, 0.0, 0.0, "", true)
+	f.Fuzz(func(t *testing.T, typ, from string, seq uint64, posX, posY float64,
+		state string, gnssOK bool, gnssWhy, command string,
+		nDets uint8, target string, x, y, conf float64, sensor string, falsePositive bool) {
+		m := wireMsg{Type: typ, From: from, Seq: seq, PosX: posX, PosY: posY, State: state,
+			GNSSOK: gnssOK, GNSSWhy: gnssWhy, Command: command}
+		switch n := int(nDets % 4); n {
+		case 0: // nil
+		case 1:
+			m.Detections = []sensors.Detection{}
+		default:
+			for i := 1; i < n; i++ {
+				m.Detections = append(m.Detections, sensors.Detection{TargetID: target,
+					Pos: geo.V(x, y*float64(i)), Confidence: conf, Sensor: sensor, FalsePositive: falsePositive})
+			}
+		}
+		checkWireEncode(t, m)
+	})
 }

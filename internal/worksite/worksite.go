@@ -248,7 +248,8 @@ type Site struct {
 
 	// Per-tick scratch state. The control loop runs at 2 Hz for every
 	// simulated machine-minute, so its working set is reused tick over tick:
-	// target/detection/position buffers, the wire-message encoder, and the
+	// target/detection/position buffers, the wire-message buffer (and the
+	// encoder for messages the fast encoder does not cover), and the
 	// receive-side parse scratch. A steady-state tick performs zero heap
 	// allocations (locked by TestTickLoopZeroAllocs).
 	ticksPerSec      int
@@ -327,6 +328,7 @@ func newSite(cfg Config, sh *SharedSecurity) (*Site, error) {
 		intern:   make(internTable),
 		shared:   sh,
 	}
+	s.sendBuf.Grow(sendBufSize)
 	s.sendEnc = json.NewEncoder(&s.sendBuf)
 	s.ticksPerSec = ticksPerSecond(cfg.TickPeriod)
 	s.landing = geo.V(0.15*grid.Width(), 0.5*grid.Height())

@@ -10,8 +10,11 @@
 //     innermost hot loop (sensing, fusion, safety, radio, events).
 //   - e1-run / e1-run-secured: one full 10-minute E1 baseline run including
 //     commissioning — the unit of every experiment and sweep.
-//   - sweep-32seed: a 32-seed campaign sweep over the bounded worker pool —
-//     the production-shaped fan-out workload.
+//   - sweep-32seed / sweep-32seed-batched: a 32-seed sweep run serially on
+//     one core, plain and from one batched commission. perfbench's
+//     sweep-deep workload measures the parallel sweep end to end.
+//   - trace-marshal-tick: one tick snapshot encoded as a trace line, the
+//     per-event cost of the -trace files and the daemon's event stream.
 //
 // Benchmark names are stable identifiers: renaming one breaks the ability to
 // diff against older BENCH files, so add new names instead of reusing them.
@@ -23,6 +26,8 @@ import (
 	"time"
 
 	"repro/worksim"
+	"repro/worksim/event"
+	"repro/worksim/trace"
 )
 
 // tickHorizon bounds the steady-state tick benchmarks. It only needs to
@@ -67,13 +72,18 @@ func Catalog() []Benchmark {
 		},
 		{
 			Name: "sweep-32seed",
-			Doc:  "32-seed baseline sweep (2 min/run) over the bounded worker pool",
+			Doc:  "32-seed baseline sweep (2 min/run), run serially on one worker",
 			Fn:   benchSweep32,
 		},
 		{
 			Name: "sweep-32seed-batched",
-			Doc:  "32 secured-baseline seeds (2 min/run) forked from one OpenBatch shared commission",
+			Doc:  "32 secured-baseline seeds (2 min/run) forked from one OpenBatch shared commission, run serially",
 			Fn:   benchSweep32Batched,
+		},
+		{
+			Name: "trace-marshal-tick",
+			Doc:  "encode one steady-state tick snapshot as a trace line (trace.Marshal)",
+			Fn:   benchTraceMarshalTick,
 		},
 	}
 	return append(macro, securedCatalog()...)
@@ -138,8 +148,9 @@ func benchRun(b *testing.B, secured bool) {
 	}
 }
 
-// benchSweep32 measures the campaign fan-out: 32 seeds of the baseline
-// scenario, 2 simulated minutes each, on the default bounded pool.
+// benchSweep32 measures a 32-seed sweep of the baseline scenario, 2
+// simulated minutes each. Parallel is left at 0, which runs one worker, so
+// this is a serial, single-core number.
 func benchSweep32(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -160,7 +171,8 @@ func benchSweep32(b *testing.B) {
 
 // benchSweep32Batched measures the batched fan-out under the full defence
 // stack: one shared commission (PKI keygen, issuance, handshakes) forked
-// into 32 per-seed secured sessions of 2 simulated minutes each.
+// into 32 per-seed secured sessions of 2 simulated minutes each, which
+// Batch.Run runs one after another.
 func benchSweep32Batched(b *testing.B) {
 	seeds := make([]int64, 32)
 	for i := range seeds {
@@ -181,6 +193,31 @@ func benchSweep32Batched(b *testing.B) {
 		}
 		if len(reports) != 32 {
 			b.Fatalf("batch produced %d reports, want 32", len(reports))
+		}
+	}
+}
+
+// benchTraceMarshalTick measures the per-event cost of the trace encoding:
+// one tick snapshot, taken from a session warmed past commissioning, encoded
+// as the JSON line the -trace files and the daemon's event stream carry.
+func benchTraceMarshalTick(b *testing.B) {
+	s, err := worksim.Open(worksim.Baseline(), worksim.WithSeed(42), worksim.WithHorizon(tickHorizon))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var tick event.Tick
+	for i := 0; i < 120; i++ { // one minute of warm-up ticks
+		var ok bool
+		if tick, ok = s.Step(); !ok {
+			b.Fatal("session ended during warm-up")
+		}
+	}
+	var e event.Event = tick
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := trace.Marshal(e); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

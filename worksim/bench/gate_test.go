@@ -37,7 +37,7 @@ func TestGateViolations(t *testing.T) {
 		Entry{Name: "e1-run-secured", NsPerOp: 11e6},
 	)
 	new := gateFile(
-		Entry{Name: "tick-secured", NsPerOp: 9000, AllocsPerOp: 3}, // regained allocs
+		Entry{Name: "tick-secured", NsPerOp: 9000, AllocsPerOp: 3},   // regained allocs
 		Entry{Name: "securechan-seal", NsPerOp: 150, AllocsPerOp: 0}, // +25% ns/op
 		Entry{Name: "e1-run-secured", NsPerOp: 11e6},
 		// securechan-open missing entirely
