@@ -14,20 +14,23 @@ import (
 // Every application message on the worksite network is a JSON-encoded
 // wireMsg, carrying exactly the bytes json.Marshal would produce: the drone
 // streams one detections message per control tick, so both directions are
-// squarely on the simulation's hot path. appendWireMsg emits those bytes
-// without reflection for the messages the engine actually sends (plain ASCII
-// strings, finite numbers) and reports false for anything else, which the
-// sender then encodes with encoding/json; the byte count is what netsim
-// charges airtime for, so the two encoders must never differ
-// (FuzzWireEncode locks that). fastParseWireMsg parses exactly the closed grammar encoding/json
-// emits for wireMsg — ASCII strings without escapes, JSON numbers, the known
-// key set — into a caller-owned message without allocating (strings are
-// interned, the detections slice is reused). Anything outside that grammar
-// (escape sequences, non-ASCII bytes, unknown keys, null, malformed input)
-// makes it return false, and the caller falls back to encoding/json — so the
-// fast path can only ever accept inputs the stdlib would accept, with
-// identical results, and every divergent or hostile input is judged by the
-// stdlib itself. TestWireCodecDifferential locks that equivalence.
+// squarely on the simulation's hot path.
+//
+// appendWireMsg emits those bytes without reflection for the messages the
+// engine actually sends (plain ASCII strings, finite numbers) and reports
+// false for anything else, which the sender then encodes with encoding/json.
+// The byte count is what netsim charges airtime for, so the two encoders
+// must never differ; FuzzWireEncode and TestWireEncodeDifferential lock that.
+//
+// fastParseWireMsg parses exactly the closed grammar encoding/json emits for
+// wireMsg — ASCII strings without escapes, JSON numbers, the known key set —
+// into a caller-owned message without allocating (strings are interned, the
+// detections slice is reused). Anything outside that grammar (escape
+// sequences, non-ASCII bytes, unknown keys, null, malformed input) makes it
+// return false, and the caller falls back to encoding/json — so the fast
+// path can only ever accept inputs the stdlib would accept, with identical
+// results, and every divergent or hostile input is judged by the stdlib
+// itself. TestWireCodecDifferential locks that equivalence.
 
 // appendWireMsg appends json.Marshal(m) to dst. It returns ok=false, with dst
 // in an unspecified state past its original length, when m holds a string

@@ -99,10 +99,10 @@ func Lookup(name string) (Benchmark, bool) {
 	return Benchmark{}, false
 }
 
-// benchTick measures one steady-state control tick: a session is opened and
-// warmed past commissioning transients, then each iteration advances exactly
-// one tick.
-func benchTick(b *testing.B, secured bool) {
+// warmSession opens the E1 baseline and steps it one minute past
+// commissioning transients, returning the session and its latest tick.
+func warmSession(b *testing.B, secured bool) (*worksim.Session, event.Tick) {
+	b.Helper()
 	opts := []worksim.Option{worksim.WithSeed(42), worksim.WithHorizon(tickHorizon)}
 	if secured {
 		opts = append(opts, worksim.WithProfile(worksim.Secured()))
@@ -111,11 +111,21 @@ func benchTick(b *testing.B, secured bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var tick event.Tick
 	for i := 0; i < 120; i++ { // one minute of warm-up ticks
-		if _, ok := s.Step(); !ok {
+		var ok bool
+		if tick, ok = s.Step(); !ok {
 			b.Fatal("session ended during warm-up")
 		}
 	}
+	return s, tick
+}
+
+// benchTick measures one steady-state control tick: a session is opened and
+// warmed past commissioning transients, then each iteration advances exactly
+// one tick.
+func benchTick(b *testing.B, secured bool) {
+	s, _ := warmSession(b, secured)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -201,17 +211,7 @@ func benchSweep32Batched(b *testing.B) {
 // one tick snapshot, taken from a session warmed past commissioning, encoded
 // as the JSON line the -trace files and the daemon's event stream carry.
 func benchTraceMarshalTick(b *testing.B) {
-	s, err := worksim.Open(worksim.Baseline(), worksim.WithSeed(42), worksim.WithHorizon(tickHorizon))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var tick event.Tick
-	for i := 0; i < 120; i++ { // one minute of warm-up ticks
-		var ok bool
-		if tick, ok = s.Step(); !ok {
-			b.Fatal("session ended during warm-up")
-		}
-	}
+	_, tick := warmSession(b, false)
 	var e event.Event = tick
 	b.ReportAllocs()
 	b.ResetTimer()
