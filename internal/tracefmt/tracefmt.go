@@ -35,7 +35,8 @@ type Line struct {
 // SSE data: payload the daemon streams.
 func Marshal(e worksite.Event) ([]byte, error) {
 	// The daemon keeps every line, so encode on the stack and return an
-	// exact-size copy. 512 bytes holds any tick with realistic values.
+	// exact-size copy. A tick line is about 330 bytes; a longer one spills
+	// to the heap and is still correct.
 	var scratch [512]byte
 	if b, ok := appendLine(scratch[:0], e); ok {
 		return append([]byte(nil), b...), nil
