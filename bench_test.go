@@ -274,11 +274,11 @@ func BenchmarkWorksiteMinute(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := worksite.DefaultConfig(benchSeed)
 		cfg.Profile = worksite.Secured()
-		site, err := worksite.New(cfg)
+		sess, err := worksite.NewSession(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := site.Run(time.Minute); err != nil {
+		if _, err := sess.Run(context.Background(), time.Minute); err != nil {
 			b.Fatal(err)
 		}
 	}

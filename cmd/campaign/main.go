@@ -21,7 +21,10 @@
 // Sweeps scale out: -shard i/N runs only the runs shard i owns under the
 // stable hash partition (each shard in its own process), -cache dir serves
 // repeated runs from a content-addressed result cache, and -checkpoint dir
-// journals completed runs so a killed campaign resumes at its watermark.
+// stores every completed run in a second cache of the same kind, so a killed
+// campaign re-run with the same flags resumes instead of restarting. Shard
+// processes may share one -checkpoint dir; old shard-*-of-*.jsonl journals
+// in it are ignored and resume nothing.
 // -merge combines the shard result files into output byte-identical to the
 // single-process sweep. Progress and statistics go to stderr, so `-json -`
 // output on stdout pipes straight into -merge.
@@ -78,7 +81,7 @@ func run() error {
 		earlyStop = flag.String("early-stop", "", "end each -sweep run at the first tick matching this predicate (collision|unsafe|safe-stop|first-alert)")
 		shardSel  = flag.String("shard", "", "run only shard i of N of the sweep, as \"i/N\" (-sweep only)")
 		cacheDir  = flag.String("cache", "", "serve repeated runs from a content-addressed result cache rooted here (-sweep only)")
-		ckptDir   = flag.String("checkpoint", "", "journal completed runs here and resume a killed campaign from its watermark (-sweep only)")
+		ckptDir   = flag.String("checkpoint", "", "store completed runs here and resume a killed campaign from them; shards may share the dir (-sweep only)")
 		merge     = flag.Bool("merge", false, "merge sharded sweep result files (the positional args) into one sweep result on stdout")
 		version   = flag.Bool("version", false, "print the worksim version and exit")
 	)

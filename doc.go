@@ -16,7 +16,7 @@
 //     MergeSweeps recombining shard outputs byte-identically),
 //     SweepOptions.CacheDir serves repeated runs from a content-addressed
 //     cache keyed on SpecHash and the full run shape, and CheckpointDir
-//     resumes a killed campaign at its completed-run watermark.
+//     resumes a killed campaign from a second cache of the same kind.
 //     worksim.Version identifies the engine version; every cmd/ binary
 //     reports it via -version and every sweep/campaign JSON export carries
 //     it.
@@ -69,9 +69,11 @@
 // checksummed, atomically-written entries addressed by the SHA-256 of the
 // full run key (spec hash, profile, seed, duration, sampling, early-stop
 // name, engine version); damaged entries are detected, evicted and
-// recomputed, never trusted. Checkpoint journals (JSON lines, torn-tail
-// tolerant) make a killed campaign resumable. None of the three changes a
-// byte of sweep output — only where the bytes come from.
+// recomputed, never trusted. The checkpoint is a second such cache that
+// every fresh run is stored into, so a killed campaign resumes from it;
+// sharded processes may share one checkpoint directory, and old
+// shard-*-of-*.jsonl journals are ignored. None of the three changes a byte
+// of sweep output — only where the bytes come from.
 //
 // Everything under internal/ is engine: free to evolve, reachable only
 // through the façade. The cmd/ binaries and examples/ import exclusively

@@ -60,10 +60,14 @@ type SweepOptions struct {
 	// version), and runs whose key already has a verified entry are served
 	// from disk instead of recomputed.
 	CacheDir string
-	// CheckpointDir, when non-empty, journals every completed run into a
-	// per-shard JSON-lines file under the directory, and replays the journal
-	// on start: a killed campaign re-run with identical options resumes at
-	// its completed-run watermark instead of restarting from zero.
+	// CheckpointDir, when non-empty, opens a second result cache rooted
+	// there, with the same run key as CacheDir: every completed run is
+	// stored as it finishes, and runs already stored are served from it
+	// first, so a killed campaign re-run with identical options resumes
+	// instead of restarting from zero. A run whose key differs (another
+	// duration, engine or spec) simply misses, so sharded processes and
+	// unrelated campaigns may share one directory. Old per-shard
+	// shard-*-of-*.jsonl journals are ignored and resume nothing.
 	CheckpointDir string
 	// OnRunDone, when non-nil, is invoked once after every completed
 	// (scenario, profile, seed) run — the progress seam async consumers
@@ -102,7 +106,7 @@ type SweepStatsView struct {
 	CacheHits    int64 `json:"cacheHits"`
 	CacheMisses  int64 `json:"cacheMisses"`
 	CacheCorrupt int64 `json:"cacheCorrupt"`
-	// Resumed counts runs replayed from a checkpoint journal.
+	// Resumed counts runs served from the checkpoint store (CheckpointDir).
 	Resumed int64 `json:"resumed"`
 }
 
@@ -221,10 +225,10 @@ type SweepResult struct {
 //
 // With Shard enabled only the owned slice of the cube executes; with
 // CacheDir set completed runs are stored in (and served from) the
-// content-addressed result cache; with CheckpointDir set completed runs are
-// journaled so a killed campaign resumes at its watermark. None of the three
-// changes a single byte of the result for the runs they cover — they only
-// change where the bytes come from.
+// content-addressed result cache; with CheckpointDir set they are also
+// stored in a second cache there, so a killed campaign resumes where it
+// stopped. None of the three changes a single byte of the result for the
+// runs they cover — they only change where the bytes come from.
 //
 // The context cancels the sweep end to end: the per-cell worker pool stops
 // claiming seeds, in-flight simulation runs stop between control ticks, and
@@ -274,27 +278,11 @@ func Sweep(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
 		}()
 	}
 	if opts.CheckpointDir != "" {
-		count := opts.Shard.Count
-		if count < 1 {
-			count = 1
-		}
-		hdr := checkpointHeader{
-			Kind:       checkpointKind,
-			Version:    version.Engine,
-			DurationNs: int64(d),
-			Seeds:      opts.Seeds,
-			SampleNs:   int64(opts.SampleEvery),
-			EarlyStop:  opts.EarlyStopName,
-			Shard:      ShardInfo{Index: opts.Shard.Index, Count: count},
-			Scenarios:  names,
-			Profiles:   profiles,
-		}
-		ck, err := openCheckpoint(opts.CheckpointDir, opts.Shard, hdr)
+		c, err := resultcache.Open(opts.CheckpointDir)
 		if err != nil {
-			return nil, fmt.Errorf("sweep: %w", err)
+			return nil, fmt.Errorf("sweep: checkpoint: %w", err)
 		}
-		defer ck.close()
-		env.ckpt = ck
+		env.ckpt = c
 	}
 
 	res := &SweepResult{Version: version.Engine, Duration: d, Seeds: opts.Seeds}
@@ -315,7 +303,7 @@ func Sweep(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
 				return nil, fmt.Errorf("sweep: %w", err)
 			}
 			cell := cellRef{scenario: name, profile: profName, spec: spec.WithProfile(prof)}
-			if env.cache != nil {
+			if env.cache != nil || env.ckpt != nil {
 				h, err := cell.spec.Hash()
 				if err != nil {
 					return nil, fmt.Errorf("sweep %s/%s: %w", name, profName, err)
@@ -358,18 +346,20 @@ func Sweep(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
 	return res, nil
 }
 
-// sweepEnv carries the per-sweep caching/checkpointing machinery into the
-// pool workers.
+// sweepEnv carries the per-sweep run stores into the pool workers: the
+// result cache and the checkpoint store, each nil when its directory is
+// unset.
 type sweepEnv struct {
 	opts  SweepOptions
 	stats *SweepStats
 	cache *resultcache.Cache
-	ckpt  *checkpoint
+	ckpt  *resultcache.Cache
 }
 
 // cellRef names one (scenario, profile) cell with its compiled spec, the
-// cell's batch over the sweep's commissioner, and — when the cache is on —
-// the spec's canonical hash, computed once per cell.
+// cell's batch over the sweep's commissioner, and — when the cache or
+// checkpoint store is open — the spec's canonical hash, computed once per
+// cell.
 type cellRef struct {
 	scenario string
 	profile  string
@@ -378,10 +368,10 @@ type cellRef struct {
 	batch    *scenario.Batch
 }
 
-// runRecord is the serialized form of one completed run: the payload both
-// the result cache and the checkpoint journal store. It mirrors SeedRun
-// minus the seed (the key carries it), so a replayed record reconstructs the
-// exact Outcome byte for byte.
+// runRecord is the serialized form of one completed run: the payload the
+// result cache and the checkpoint store hold. It mirrors SeedRun minus the
+// seed (the key carries it), so a stored record reconstructs the exact
+// Outcome byte for byte.
 type runRecord struct {
 	Metrics     map[string]float64 `json:"metrics"`
 	Timeseries  []TimePoint        `json:"timeseries,omitempty"`
@@ -397,40 +387,39 @@ func recordOf(out Outcome) runRecord {
 }
 
 // runCell satisfies one (scenario, profile, seed) run: from the checkpoint
-// journal, the result cache, or a fresh simulation — in that order. Fresh
-// results are stored back into both before progress is reported, so a kill
+// store, the result cache, or a fresh simulation — in that order. Both
+// stores are resultcache.Caches addressed by the same key, so a fresh result
+// is stored into each open one before progress is reported, and a kill
 // immediately after a run completes never loses it.
 func (e *sweepEnv) runCell(ctx context.Context, cell cellRef, p Params) (Outcome, error) {
-	key := shard.Key{Scenario: cell.scenario, Profile: cell.profile, Seed: p.Seed}
+	key := resultcache.Key{
+		SpecHash:   cell.specHash,
+		Profile:    cell.profile,
+		Seed:       p.Seed,
+		DurationNs: int64(p.Duration),
+		SampleNs:   int64(e.opts.SampleEvery),
+		EarlyStop:  e.opts.EarlyStopName,
+		Engine:     version.Engine,
+	}
 	if e.ckpt != nil {
-		if rec, ok := e.ckpt.lookup(key); ok {
+		var rec runRecord
+		hit, err := e.ckpt.Get(key, &rec)
+		if err != nil {
+			return Outcome{}, err
+		}
+		if hit {
 			e.stats.resumed.Add(1)
 			e.done()
 			return rec.outcome(), nil
 		}
 	}
-	var ck resultcache.Key
 	if e.cache != nil {
-		ck = resultcache.Key{
-			SpecHash:   cell.specHash,
-			Profile:    cell.profile,
-			Seed:       p.Seed,
-			DurationNs: int64(p.Duration),
-			SampleNs:   int64(e.opts.SampleEvery),
-			EarlyStop:  e.opts.EarlyStopName,
-			Engine:     version.Engine,
-		}
 		var rec runRecord
-		hit, err := e.cache.Get(ck, &rec)
+		hit, err := e.cache.Get(key, &rec)
 		if err != nil {
 			return Outcome{}, err
 		}
 		if hit {
-			if e.ckpt != nil {
-				if err := e.ckpt.record(key, rec); err != nil {
-					return Outcome{}, err
-				}
-			}
 			e.stats.cacheHits.Add(1)
 			e.done()
 			if e.opts.OnRunCached != nil {
@@ -445,14 +434,11 @@ func (e *sweepEnv) runCell(ctx context.Context, cell cellRef, p Params) (Outcome
 		return Outcome{}, err
 	}
 	rec := recordOf(out)
-	if e.cache != nil {
-		if err := e.cache.Put(ck, rec); err != nil {
-			return Outcome{}, err
-		}
-	}
-	if e.ckpt != nil {
-		if err := e.ckpt.record(key, rec); err != nil {
-			return Outcome{}, err
+	for _, store := range [...]*resultcache.Cache{e.cache, e.ckpt} {
+		if store != nil {
+			if err := store.Put(key, rec); err != nil {
+				return Outcome{}, err
+			}
 		}
 	}
 	e.stats.executed.Add(1)

@@ -1,7 +1,7 @@
 package campaign_test
 
 // Scale-out tests: sharding, the content-addressed result cache and the
-// checkpoint journal must never change a byte of sweep output — only where
+// checkpoint store must never change a byte of sweep output — only where
 // the bytes come from. The byte-identity comparisons here are the contract
 // the CLI's -shard/-merge/-cache/-checkpoint modes stand on, including a
 // genuine process kill (re-exec helper) between seeds.
@@ -164,26 +164,7 @@ func TestCacheCorruptEntryRecomputed(t *testing.T) {
 	coldOpts.CacheDir = dir
 	coldBytes := sweepBytes(t, coldOpts)
 
-	// Flip one bit near the end of one entry (inside the payload, where only
-	// the checksum catches it).
-	var entries []string
-	filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() && strings.HasSuffix(path, ".json") {
-			entries = append(entries, path)
-		}
-		return nil
-	})
-	if len(entries) != 16 {
-		t.Fatalf("cache holds %d entries, want 16", len(entries))
-	}
-	b, err := os.ReadFile(entries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)-10] ^= 0x01
-	if err := os.WriteFile(entries[0], b, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	flipPayloadBit(t, dir)
 
 	var stats campaign.SweepStats
 	opts := scaleOpts()
@@ -196,6 +177,31 @@ func TestCacheCorruptEntryRecomputed(t *testing.T) {
 	}
 	if string(got) != string(coldBytes) {
 		t.Fatal("output after corruption recovery differs from the cold run")
+	}
+}
+
+// flipPayloadBit damages one of the 16 entries of a result-cache directory:
+// it flips one bit near the end of the entry, inside the payload, where only
+// the checksum catches it.
+func flipPayloadBit(t *testing.T, dir string) {
+	t.Helper()
+	var entries []string
+	filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err == nil && !info.IsDir() && strings.HasSuffix(path, ".json") {
+			entries = append(entries, path)
+		}
+		return nil
+	})
+	if len(entries) != 16 {
+		t.Fatalf("%s holds %d entries, want 16", dir, len(entries))
+	}
+	b, err := os.ReadFile(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-10] ^= 0x01
+	if err := os.WriteFile(entries[0], b, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -242,7 +248,7 @@ func TestUnnamedEarlyStopRejected(t *testing.T) {
 }
 
 // TestCheckpointResumeInProcess: cancel a checkpointed sweep mid-flight,
-// re-run it, and the journaled runs are replayed instead of recomputed —
+// re-run it, and the checkpointed runs are resumed instead of recomputed —
 // with output byte-identical to an uninterrupted sweep.
 func TestCheckpointResumeInProcess(t *testing.T) {
 	plain := sweepBytes(t, scaleOpts())
@@ -273,7 +279,7 @@ func TestCheckpointResumeInProcess(t *testing.T) {
 	got := sweepBytes(t, second)
 	sv := stats.View()
 	if sv.Resumed < 3 {
-		t.Fatalf("resume replayed %d runs, want at least the 3 journaled ones", sv.Resumed)
+		t.Fatalf("resume replayed %d runs, want at least the 3 checkpointed ones", sv.Resumed)
 	}
 	if sv.Resumed+sv.Executed != 16 {
 		t.Fatalf("stats = %+v: resumed+executed != 16", sv)
@@ -289,24 +295,58 @@ func TestCheckpointResumeInProcess(t *testing.T) {
 	third.Stats = &all
 	_ = sweepBytes(t, third)
 	if av := all.View(); av.Resumed != 16 || av.Executed != 0 {
-		t.Fatalf("fully-journaled rerun stats = %+v, want 16 resumed / 0 executed", av)
+		t.Fatalf("fully-checkpointed rerun stats = %+v, want 16 resumed / 0 executed", av)
 	}
 }
 
-// TestCheckpointRejectsForeignJournal: a journal written by a campaign with
-// different parameters must refuse to resume, not corrupt the output.
-func TestCheckpointRejectsForeignJournal(t *testing.T) {
+// TestCheckpointIgnoresForeignRuns: a checkpoint directory written by a
+// campaign with different parameters serves nothing to this one — its runs
+// carry other keys, so they miss and are executed, and output is exactly a
+// fresh sweep's.
+func TestCheckpointIgnoresForeignRuns(t *testing.T) {
 	dir := t.TempDir()
 	first := scaleOpts()
 	first.CheckpointDir = dir
 	_ = sweepBytes(t, first)
 
-	changed := scaleOpts()
+	fresh := scaleOpts()
+	fresh.Duration = 3 * time.Minute
+	want := sweepBytes(t, fresh)
+
+	var stats campaign.SweepStats
+	changed := fresh
 	changed.CheckpointDir = dir
-	changed.Duration = 3 * time.Minute
-	_, err := campaign.Sweep(context.Background(), changed)
-	if err == nil || !strings.Contains(err.Error(), "different campaign") {
-		t.Fatalf("foreign journal resume returned %v, want a different-campaign error", err)
+	changed.Stats = &stats
+	got := sweepBytes(t, changed)
+	if sv := stats.View(); sv.Resumed != 0 || sv.Executed != 16 {
+		t.Fatalf("stats over a foreign checkpoint = %+v, want 0 resumed / 16 executed", sv)
+	}
+	if string(got) != string(want) {
+		t.Fatal("sweep over a foreign checkpoint differs from a fresh sweep")
+	}
+}
+
+// TestCheckpointCorruptEntryRecomputed: damaging one checkpoint entry costs
+// exactly one recomputation on resume — the entry fails its checksum, is
+// evicted and recomputed, and output stays byte-identical.
+func TestCheckpointCorruptEntryRecomputed(t *testing.T) {
+	dir := t.TempDir()
+	coldOpts := scaleOpts()
+	coldOpts.CheckpointDir = dir
+	coldBytes := sweepBytes(t, coldOpts)
+
+	flipPayloadBit(t, dir)
+
+	var stats campaign.SweepStats
+	opts := scaleOpts()
+	opts.CheckpointDir = dir
+	opts.Stats = &stats
+	got := sweepBytes(t, opts)
+	if sv := stats.View(); sv.Resumed != 15 || sv.Executed != 1 {
+		t.Fatalf("stats after corruption = %+v, want 15 resumed / 1 executed", sv)
+	}
+	if string(got) != string(coldBytes) {
+		t.Fatal("output after checkpoint corruption recovery differs from the cold run")
 	}
 }
 
@@ -407,7 +447,7 @@ const (
 
 // TestHelperKilledShardSweep is not a test: re-executed as a child process
 // by TestProcessKillResume, it starts shard 0/2 of the standard campaign
-// with a checkpoint journal and exits hard (os.Exit, no cleanup) after two
+// with a checkpoint store and exits hard (os.Exit, no cleanup) after two
 // completed runs — a real mid-campaign crash.
 func TestHelperKilledShardSweep(t *testing.T) {
 	if os.Getenv(helperEnv) != "1" {
@@ -432,7 +472,7 @@ func TestHelperKilledShardSweep(t *testing.T) {
 // TestProcessKillResume: kill a sharded, checkpointed campaign between seeds
 // in a real child process, resume it, run the sibling shard, merge — and the
 // result is byte-identical to a single uninterrupted sweep, with the
-// journaled runs demonstrably not recomputed.
+// checkpointed runs demonstrably not recomputed.
 func TestProcessKillResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-executes the test binary")
@@ -463,7 +503,7 @@ func TestProcessKillResume(t *testing.T) {
 		t.Fatalf("helper process: err=%v (want exit code %d)\noutput:\n%s", err, helperExit, out)
 	}
 
-	// Resume shard 0 from the journal the killed process left behind.
+	// Resume shard 0 from the checkpoint the killed process left behind.
 	var stats campaign.SweepStats
 	resume := scaleOpts()
 	resume.Shard = shard.Sel{Index: 0, Count: 2}
@@ -475,7 +515,7 @@ func TestProcessKillResume(t *testing.T) {
 	}
 	sv := stats.View()
 	if sv.Resumed < 2 {
-		t.Fatalf("resume replayed %d runs, want at least the 2 the killed process journaled", sv.Resumed)
+		t.Fatalf("resume replayed %d runs, want at least the 2 the killed process checkpointed", sv.Resumed)
 	}
 	if sv.Resumed+sv.Executed != int64(owned) {
 		t.Fatalf("resume stats = %+v, want resumed+executed == %d", sv, owned)

@@ -16,6 +16,13 @@
 // key comparison, is counted as corrupt, removed, and recomputed — a damaged
 // entry is never trusted.
 //
+// The same store is also the sweep's checkpoint: campaign.Sweep opens a
+// second Cache at SweepOptions.CheckpointDir and stores every fresh run in
+// it, so a killed campaign resumes by looking its runs up there. Because
+// entries are addressed by the full key, sharded processes may share one
+// checkpoint directory, and runs of a differently-shaped campaign simply
+// miss. Old shard-*-of-*.jsonl journals in that directory are ignored.
+//
 // The cache deliberately stores no wall-clock metadata: entries are pure
 // functions of their key, so the package stays inside the repo's
 // determinism perimeter.

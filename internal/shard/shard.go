@@ -8,7 +8,7 @@
 // enters the hash, so every participant of a campaign — the shard processes,
 // the merge step validating coverage, a scheduler placing work — agrees on
 // ownership without coordination. The assignment for a fixed key and count
-// is part of the checkpoint/merge contract and is locked by a golden test;
+// is part of the shard/merge contract and is locked by a golden test;
 // changing the hash invalidates in-flight sharded campaigns and must bump
 // the engine version.
 package shard
@@ -20,8 +20,7 @@ import (
 )
 
 // Key identifies one run of the sweep cube: a named catalog scenario under a
-// named security profile at one seed. It is the unit of shard ownership,
-// checkpoint journaling and result-cache addressing.
+// named security profile at one seed. It is the unit of shard ownership.
 type Key struct {
 	Scenario string
 	Profile  string

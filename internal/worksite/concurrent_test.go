@@ -6,6 +6,7 @@ package worksite
 // this test pins that property under the race detector.
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -19,7 +20,7 @@ func runSecured(t *testing.T, seed int64, d time.Duration) Report {
 	if err != nil {
 		t.Fatalf("worksite: %v", err)
 	}
-	rep, err := site.Run(d)
+	rep, err := (&Session{site: site}).Run(context.Background(), d)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -45,7 +46,7 @@ func TestConcurrentSitesIndependent(t *testing.T) {
 				t.Errorf("worksite: %v", err)
 				return
 			}
-			rep, err := site.Run(d)
+			rep, err := (&Session{site: site}).Run(context.Background(), d)
 			if err != nil {
 				t.Errorf("run: %v", err)
 				return
@@ -61,7 +62,7 @@ func TestConcurrentSitesIndependent(t *testing.T) {
 				t.Errorf("worksite: %v", err)
 				return
 			}
-			if _, err := site.Run(d); err != nil {
+			if _, err := (&Session{site: site}).Run(context.Background(), d); err != nil {
 				t.Errorf("run: %v", err)
 			}
 		}(int64(100 + i))

@@ -4,9 +4,9 @@ import "fmt"
 
 // The built-in observers: the KPI accumulator and the operational timeline
 // are ordinary subscribers of the same event stream external observers see,
-// subscribed first at commissioning time. Site.Run and the Session API
-// therefore share one code path, and a run with extra subscribers is
-// bit-identical to one without.
+// subscribed first at commissioning time. Every run therefore shares one
+// code path, and a run with extra subscribers is bit-identical to one
+// without.
 
 // metricsObserver folds the event stream into the run's Metrics. The
 // event-independent counters (send failures, blocked forgeries/replays,

@@ -1,6 +1,7 @@
 package worksite
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -49,7 +50,7 @@ func TestContinuousRiskModeRelaxesAfterAttack(t *testing.T) {
 	// Short spoof burst early; DecayAfter is two minutes.
 	c.Add(time.Minute, 2*time.Minute, attack.NewGNSSSpoof(s.ForwarderGNSS(), geo.V(60, 40)))
 	c.Schedule(s.Scheduler())
-	if _, err := s.Run(10 * time.Minute); err != nil {
+	if _, err := (&Session{site: s}).Run(context.Background(), 10*time.Minute); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if s.OperatingMode() != risk.ModeNormal {
@@ -108,7 +109,7 @@ func TestCoordinatorSilenceTriggersFailSafe(t *testing.T) {
 			n.Online = false
 		}
 	})
-	rep, err := s.Run(10 * time.Minute)
+	rep, err := (&Session{site: s}).Run(context.Background(), 10*time.Minute)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -142,7 +143,7 @@ func TestCoordinatorSilenceUnsecuredKeepsDriving(t *testing.T) {
 			n.Online = false
 		}
 	})
-	if _, err := s.Run(10 * time.Minute); err != nil {
+	if _, err := (&Session{site: s}).Run(context.Background(), 10*time.Minute); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	for _, r := range s.Forwarder().StopReasons() {
@@ -189,7 +190,7 @@ func TestTimelineRecordsIncident(t *testing.T) {
 	c := attack.NewCampaign()
 	c.Add(2*time.Minute, 6*time.Minute, attack.NewGNSSSpoof(s.ForwarderGNSS(), geo.V(60, 40)))
 	c.Schedule(s.Scheduler())
-	if _, err := s.Run(10 * time.Minute); err != nil {
+	if _, err := (&Session{site: s}).Run(context.Background(), 10*time.Minute); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	events := s.Timeline()

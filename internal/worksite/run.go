@@ -1,7 +1,6 @@
 package worksite
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"time"
@@ -86,14 +85,6 @@ func (s *Site) commissionControl() {
 		s.tickNo++
 		s.controlTick(sch.Now())
 	})
-}
-
-// Run executes the scenario for d of virtual time and returns the report.
-// It is a thin compatibility wrapper over the Session API: construct a
-// session (or use NewSession) for stepping, observers and early stop.
-func (s *Site) Run(d time.Duration) (Report, error) {
-	se := &Session{site: s}
-	return se.Run(context.Background(), d)
 }
 
 func (s *Site) report(d time.Duration) Report {

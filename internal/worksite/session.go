@@ -14,10 +14,9 @@ import (
 // subscribed observers.
 //
 // Determinism contract: observers are passive taps on the simulation loop,
-// so a session produces a Report byte-identical to the closed-loop
-// Site.Run(d) path for the same config, however its time was advanced and
-// whatever was subscribed. Site.Run itself is a thin wrapper over a
-// session.
+// so a session produces a Report byte-identical to a bare closed-loop
+// Run(ctx, d) for the same config, however its time was advanced and
+// whatever was subscribed.
 type Session struct {
 	site    *Site
 	elapsed time.Duration // virtual time advanced so far (absolute)

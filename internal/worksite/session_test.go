@@ -20,8 +20,8 @@ func armSpoof(s *Site, onPhase func(attack.PhaseEvent)) {
 }
 
 // TestSessionReportMatchesLegacyRun: the acceptance criterion — a session
-// with subscribed observers produces a Report byte-identical to the legacy
-// Site.Run path, under attack, on the secured profile.
+// with subscribed observers produces a Report byte-identical to a bare
+// closed-loop session with none, under attack, on the secured profile.
 func TestSessionReportMatchesLegacyRun(t *testing.T) {
 	const d = 10 * time.Minute
 	cfg := DefaultConfig(71)
@@ -32,7 +32,7 @@ func TestSessionReportMatchesLegacyRun(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	armSpoof(legacySite, nil)
-	legacyRep, err := legacySite.Run(d)
+	legacyRep, err := (&Session{site: legacySite}).Run(context.Background(), d)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

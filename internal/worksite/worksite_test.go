@@ -1,6 +1,7 @@
 package worksite
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -18,7 +19,7 @@ func runSite(t *testing.T, cfg Config, d time.Duration, arm func(*Site)) Report 
 	if arm != nil {
 		arm(s)
 	}
-	rep, err := s.Run(d)
+	rep, err := (&Session{site: s}).Run(context.Background(), d)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

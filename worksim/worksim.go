@@ -34,7 +34,7 @@ import (
 )
 
 // Version is the engine's semantic version, re-exported from
-// internal/version so campaign results, cache keys and checkpoint journals
+// internal/version so campaign results and cache and checkpoint keys
 // stamp the same string the façade reports. Bump the minor on surface
 // additions and the major on breaking changes; every cmd/ binary reports it
 // via -version, and every sweep/campaign JSON export carries it.
