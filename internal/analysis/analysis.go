@@ -1,6 +1,6 @@
 // Package analysis is the static-analysis layer of the repository: a small
 // analyzer framework in the spirit of golang.org/x/tools/go/analysis (which
-// the build environment does not vendor), plus the seven worksim analyzers
+// the build environment does not vendor), plus the six worksim analyzers
 // that make the simulator's core invariants structural rather than
 // empirical:
 //
@@ -10,8 +10,6 @@
 //     repro/worksim..., and internal/ never imports the façade back.
 //   - ctxdiscipline: exported blocking APIs of the façade take a leading
 //     context.Context, and //worksim:tickloop loops check cancellation.
-//   - hotpath: //worksim:hotpath functions (the zero-alloc tick path) are
-//     screened for allocation sources at the offending line.
 //   - gohygiene: every go statement in the simulation packages is
 //     join-tracked (WaitGroup-style Done, channel send/close, or an
 //     observed context), so no goroutine outlives its owner invisibly.
@@ -26,7 +24,7 @@
 // Three comment directives steer the analyzers:
 //
 //	//worksim:allow <reason>    suppress diagnostics on this or the next line
-//	//worksim:hotpath           mark a function as part of the zero-alloc tick path
+//	//worksim:hotpath           gate a function's escape profile against lint/escape_budget.json
 //	//worksim:tickloop          mark a loop that must observe ctx cancellation
 //
 // An allow directive without a reason suppresses nothing and is itself
@@ -105,7 +103,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 }
 
 // directives are the //worksim:* comment markers of one package, indexed for
-// the driver (allow) and the analyzers (hotpath, tickloop).
+// the driver (allow) and the analyzers (escapebudget, tickloop).
 type directives struct {
 	// allow maps file -> line -> reason for well-formed allow directives.
 	// The directive suppresses diagnostics on its own line and, when it
@@ -318,7 +316,7 @@ func SortDiagnostics(diags []Diagnostic) {
 // All returns the full worksim analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Determinism, FacadeBoundary, CtxDiscipline, HotPath,
+		Determinism, FacadeBoundary, CtxDiscipline,
 		GoHygiene, SyncMisuse, EscapeBudgetAnalyzer,
 	}
 }

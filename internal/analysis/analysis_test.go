@@ -31,10 +31,6 @@ func TestCtxDisciplineFixture(t *testing.T) {
 	analysistest.Run(t, fixture("ctxdiscipline", "facade"), analysis.CtxDiscipline)
 }
 
-func TestHotPathFixture(t *testing.T) {
-	analysistest.Run(t, fixture("hotpath", "hot"), analysis.HotPath)
-}
-
 // TestBareAllowDirective pins the auditability contract of the escape hatch:
 // a //worksim:allow without a reason is itself reported and suppresses
 // nothing, so the wall-clock read on the next line still surfaces.

@@ -18,11 +18,11 @@ import (
 )
 
 // EscapeBudgetAnalyzer gates every //worksim:hotpath function against the
-// gc compiler's own escape-analysis and inlining decisions. Where the
-// hotpath analyzer screens for allocation *sources* syntactically, this
-// analyzer consumes ground truth: `go build -gcflags=-m=2` diagnostics,
-// attributed to their enclosing functions and compared against the
-// checked-in per-function budgets in lint/escape_budget.json.
+// gc compiler's own escape-analysis and inlining decisions: `go build
+// -gcflags=-m=2` diagnostics, attributed to their enclosing functions and
+// compared against the checked-in per-function budgets in
+// lint/escape_budget.json. Allocations no diagnostic shows, such as append
+// growth, are left to the AllocsPerRun tests.
 //
 // The comparison is a ratchet, in both directions:
 //

@@ -114,3 +114,15 @@ func groupTyped(info *types.Info, expr ast.Expr) bool {
 	named, ok := t.(*types.Named)
 	return ok && strings.Contains(named.Obj().Name(), "Group")
 }
+
+// builtinName returns the name of the builtin a call invokes, or "".
+func builtinName(info *types.Info, call *ast.CallExpr) string {
+	id, ok := call.Fun.(*ast.Ident)
+	if !ok || info == nil {
+		return ""
+	}
+	if b, ok := info.Uses[id].(*types.Builtin); ok {
+		return b.Name()
+	}
+	return ""
+}

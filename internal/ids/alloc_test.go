@@ -42,3 +42,29 @@ func TestDetectZeroAllocs(t *testing.T) {
 		t.Fatalf("steady-state detection allocates: %v allocs/op, want 0", avg)
 	}
 }
+
+// TestDeauthWindowZeroAllocs measures the de-auth sliding window one event
+// per run. TestDetectZeroAllocs feeds a de-auth only every fifth tick, and
+// AllocsPerRun truncates its mean to an integer, so a window that grew on
+// every event would still read 0 there.
+func TestDeauthWindowZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless under -race")
+	}
+	d := NewDeauthFloodDetector(5, 10*time.Second)
+	n := 0
+	deauth := func() {
+		// 3s apart: at most four events stay inside the 10s window, one below the
+		// alert threshold, so every call trims the window in place.
+		if alerts := d.Process(Event{Kind: EventDeauth, At: time.Duration(n) * 3 * time.Second, Source: "ap-1"}); alerts != nil {
+			t.Fatalf("event %d raised %v, want none below the threshold", n, alerts)
+		}
+		n++
+	}
+	for i := 0; i < 8; i++ {
+		deauth()
+	}
+	if avg := testing.AllocsPerRun(200, deauth); avg != 0 {
+		t.Fatalf("de-auth window allocates: %v allocs/event, want 0", avg)
+	}
+}

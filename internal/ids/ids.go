@@ -233,22 +233,22 @@ func (d *SignatureDetector) Name() string { return "signature" }
 //
 //worksim:hotpath
 func (d *SignatureDetector) Process(ev Event) []Alert {
-	mk := func(sev Severity, typ, detail string) []Alert { //worksim:allow alert construction is the cold branch; benign events return nil before the closure is invoked
+	mk := func(sev Severity, typ, detail string) []Alert {
 		return []Alert{{At: ev.At, Severity: sev, Type: typ, Source: ev.Source, Detail: detail}}
 	}
 	switch ev.Kind {
 	case EventMgmtForgery:
-		return mk(SeverityCritical, "mgmt-forgery", "management frame with invalid MIC: "+ev.Detail) //worksim:allow alert detail built only when an attack fires, never in steady state
+		return mk(SeverityCritical, "mgmt-forgery", "management frame with invalid MIC: "+ev.Detail)
 	case EventReplayRejected:
 		return mk(SeverityWarning, "replay", "secure channel rejected replayed record")
 	case EventAuthFailure:
-		return mk(SeverityCritical, "auth-failure", "peer failed PKI authentication: "+ev.Detail) //worksim:allow alert detail built only when an attack fires, never in steady state
+		return mk(SeverityCritical, "auth-failure", "peer failed PKI authentication: "+ev.Detail)
 	case EventDecryptFailure:
 		return mk(SeverityWarning, "tampered-record", "record failed AEAD authentication")
 	case EventBootFailure:
-		return mk(SeverityCritical, "boot-integrity", "verified boot halted: "+ev.Detail) //worksim:allow alert detail built only when an attack fires, never in steady state
+		return mk(SeverityCritical, "boot-integrity", "verified boot halted: "+ev.Detail)
 	case EventAttestationFailure:
-		return mk(SeverityCritical, "attestation", "remote attestation failed: "+ev.Detail) //worksim:allow alert detail built only when an attack fires, never in steady state
+		return mk(SeverityCritical, "attestation", "remote attestation failed: "+ev.Detail)
 	default:
 		return nil
 	}
@@ -287,7 +287,7 @@ func (d *DeauthFloodDetector) Process(ev Event) []Alert {
 	if ev.Kind != EventDeauth {
 		return nil
 	}
-	times := append(d.seen[ev.Source], ev.At) //worksim:allow amortized per-source window buffer: the slice is stored back below, so growth is the scratch pattern across calls
+	times := append(d.seen[ev.Source], ev.At)
 	// Trim events outside the window by copying down in place: re-slicing
 	// forward (times = times[cut:]) would walk the stored slice away from its
 	// backing array's start and force a reallocation every window's worth of
@@ -313,7 +313,7 @@ func (d *DeauthFloodDetector) Process(ev Event) []Alert {
 		Severity: SeverityCritical,
 		Type:     "deauth-flood",
 		Source:   ev.Source,
-		Detail:   fmt.Sprintf("%d de-auth frames within %v", len(times), d.window), //worksim:allow alert detail built at most once per window per source, only under attack
+		Detail:   fmt.Sprintf("%d de-auth frames within %v", len(times), d.window),
 	}}
 }
 
@@ -369,7 +369,7 @@ func (d *LinkQualityDetector) Process(ev Event) []Alert {
 			Severity: SeverityCritical,
 			Type:     "link-degraded",
 			Source:   ev.Source,
-			Detail:   fmt.Sprintf("delivery EWMA %.2f below %.2f (jamming or interference)", cur, d.threshold), //worksim:allow alert detail built once per alarm transition, not per sample
+			Detail:   fmt.Sprintf("delivery EWMA %.2f below %.2f (jamming or interference)", cur, d.threshold),
 		}}
 	}
 	if !below && d.alarming[ev.Source] && cur > d.threshold+0.15 {
@@ -379,7 +379,7 @@ func (d *LinkQualityDetector) Process(ev Event) []Alert {
 			Severity: SeverityInfo,
 			Type:     "link-recovered",
 			Source:   ev.Source,
-			Detail:   fmt.Sprintf("delivery EWMA recovered to %.2f", cur), //worksim:allow alert detail built once per recovery transition, not per sample
+			Detail:   fmt.Sprintf("delivery EWMA recovered to %.2f", cur),
 		}}
 	}
 	return nil
@@ -440,7 +440,7 @@ func (d *GNSSConsistencyDetector) Process(ev Event) []Alert {
 			Severity: SeverityCritical,
 			Type:     "gnss-anomaly",
 			Source:   ev.Source,
-			Detail:   fmt.Sprintf("%d consecutive implausible fixes: %s", d.needed, ev.Detail), //worksim:allow alert detail built once per anomaly streak, only under spoofing
+			Detail:   fmt.Sprintf("%d consecutive implausible fixes: %s", d.needed, ev.Detail),
 		}}
 	}
 	return nil

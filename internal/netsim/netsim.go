@@ -113,7 +113,7 @@ func (p *framePool) get() *pooledFrame {
 		f.refs = 1
 		return f
 	}
-	return &pooledFrame{refs: 1, pool: p} //worksim:allow pool warm-up: allocates only until the free list reaches high water
+	return &pooledFrame{refs: 1, pool: p}
 }
 
 //worksim:hotpath
@@ -257,7 +257,7 @@ func (a *Adapter) Associate(peer radio.NodeID) error {
 //worksim:hotpath
 func (a *Adapter) SendData(peer radio.NodeID, payload []byte) error {
 	if !a.Associated(peer) {
-		return fmt.Errorf("send data %s->%s: link not associated", a.id, peer) //worksim:allow cold error exit: unassociated links occur only under attack or before commissioning
+		return fmt.Errorf("send data %s->%s: link not associated", a.id, peer)
 	}
 	return a.send(Frame{Kind: FrameData, Src: a.id, Dst: peer, Payload: payload})
 }
@@ -393,7 +393,7 @@ func (a *Adapter) handleDeauth(f Frame) {
 func (a *Adapter) linkFor(peer radio.NodeID) *link {
 	l, ok := a.links[peer]
 	if !ok {
-		l = &link{} //worksim:allow one allocation per peer at first contact; steady state hits the map
+		l = &link{}
 		a.links[peer] = l
 	}
 	return l

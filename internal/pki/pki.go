@@ -84,7 +84,7 @@ type Certificate struct {
 //
 //worksim:hotpath
 func (c Certificate) tbs() []byte {
-	return c.appendTBS(make([]byte, 0, 128)) //worksim:allow single pre-sized buffer per encoding; reuse appendTBS directly to amortise it away
+	return c.appendTBS(make([]byte, 0, 128))
 }
 
 // appendTBS appends the to-be-signed encoding to dst and returns the grown
@@ -253,26 +253,26 @@ func (v *Verifier) UpdateCRL(crl map[uint64]struct{}) { v.crl = crl }
 //worksim:hotpath
 func (v *Verifier) Verify(cert Certificate, now time.Duration) error {
 	if cert.Issuer != v.anchor.Subject {
-		return fmt.Errorf("verify %q: issuer %q: %w", cert.Subject, cert.Issuer, ErrWrongIssuer) //worksim:allow cold rejection path, runs only for untrusted peers
+		return fmt.Errorf("verify %q: issuer %q: %w", cert.Subject, cert.Issuer, ErrWrongIssuer)
 	}
 	v.tbsScratch = cert.appendTBS(v.tbsScratch[:0])
 	if !ed25519.Verify(v.anchor.PublicKey, v.tbsScratch, cert.Signature) {
-		return fmt.Errorf("verify %q: %w", cert.Subject, ErrBadSignature) //worksim:allow cold rejection path, runs only for forged certificates
+		return fmt.Errorf("verify %q: %w", cert.Subject, ErrBadSignature)
 	}
 	if now < cert.NotBefore {
-		return fmt.Errorf("verify %q: %w", cert.Subject, ErrNotYetValid) //worksim:allow cold rejection path, runs only for out-of-window certificates
+		return fmt.Errorf("verify %q: %w", cert.Subject, ErrNotYetValid)
 	}
 	if now > cert.NotAfter {
-		return fmt.Errorf("verify %q: %w", cert.Subject, ErrExpired) //worksim:allow cold rejection path, runs only for out-of-window certificates
+		return fmt.Errorf("verify %q: %w", cert.Subject, ErrExpired)
 	}
 	if v.crl != nil {
 		if _, revoked := v.crl[cert.Serial]; revoked {
-			return fmt.Errorf("verify %q (serial %d): %w", cert.Subject, cert.Serial, ErrRevoked) //worksim:allow cold rejection path, runs only for revoked certificates
+			return fmt.Errorf("verify %q (serial %d): %w", cert.Subject, cert.Serial, ErrRevoked)
 		}
 	}
 	if len(v.AllowedRoles) > 0 {
 		if _, ok := v.AllowedRoles[cert.Role]; !ok {
-			return fmt.Errorf("verify %q: role %s: %w", cert.Subject, cert.Role, ErrRoleDenied) //worksim:allow cold rejection path, runs only for role-policy violations
+			return fmt.Errorf("verify %q: role %s: %w", cert.Subject, cert.Role, ErrRoleDenied)
 		}
 	}
 	return nil

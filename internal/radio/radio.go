@@ -273,10 +273,10 @@ func (m *Medium) Airtime(size int) time.Duration {
 func (m *Medium) Transmit(p Packet) error {
 	tx, ok := m.nodes[p.From]
 	if !ok {
-		return fmt.Errorf("transmit: unknown node %q", p.From) //worksim:allow cold error exit: misconfigured topology, never the steady state
+		return fmt.Errorf("transmit: unknown node %q", p.From)
 	}
 	if !tx.Online {
-		return fmt.Errorf("transmit: node %q is offline", p.From) //worksim:allow cold error exit: offline nodes occur only under attack transitions
+		return fmt.Errorf("transmit: node %q is offline", p.From)
 	}
 	m.stats.Transmissions++
 	airtime := m.Airtime(p.Size)
@@ -364,7 +364,7 @@ func (m *Medium) getDelivery() *delivery {
 		m.freeDeliveries = m.freeDeliveries[:n-1]
 		return d
 	}
-	return new(delivery) //worksim:allow pool warm-up: allocates only until the delivery pool reaches high water
+	return new(delivery)
 }
 
 //worksim:hotpath

@@ -150,16 +150,16 @@ func (d *Device) Boot(chain Chain) (Report, error) {
 //worksim:hotpath
 func (d *Device) verifyStage(st Stage) error {
 	if st.Manifest.ImageName != st.Image.Name {
-		return fmt.Errorf("%w: manifest %q vs image %q", ErrWrongImage, st.Manifest.ImageName, st.Image.Name) //worksim:allow cold rejection path, runs only for tampered boot stages
+		return fmt.Errorf("%w: manifest %q vs image %q", ErrWrongImage, st.Manifest.ImageName, st.Image.Name)
 	}
 	if !pki.VerifySignature(d.vendorCert, st.Manifest.tbs(), st.Manifest.Signature) {
 		return ErrManifestSig
 	}
 	if st.Image.Version < d.MinVersions[st.Image.Name] {
-		return fmt.Errorf("%w: version %d below floor %d", ErrRollback, st.Image.Version, d.MinVersions[st.Image.Name]) //worksim:allow cold rejection path, runs only under rollback attack
+		return fmt.Errorf("%w: version %d below floor %d", ErrRollback, st.Image.Version, d.MinVersions[st.Image.Name])
 	}
 	if st.Manifest.Version != st.Image.Version {
-		return fmt.Errorf("%w: manifest version %d vs image %d", ErrWrongImage, st.Manifest.Version, st.Image.Version) //worksim:allow cold rejection path, runs only for tampered boot stages
+		return fmt.Errorf("%w: manifest version %d vs image %d", ErrWrongImage, st.Manifest.Version, st.Image.Version)
 	}
 	dg := st.Image.Digest()
 	if !bytes.Equal(dg[:], st.Manifest.Digest[:]) {
@@ -199,7 +199,7 @@ type Quote struct {
 
 //worksim:hotpath
 func quoteTBS(pcr [32]byte, nonce []byte) []byte {
-	buf := make([]byte, 0, 64) //worksim:allow single pre-sized buffer per quote; the appends below reuse it via the scratch pattern
+	buf := make([]byte, 0, 64)
 	buf = append(buf, pcr[:]...)
 	buf = append(buf, nonce...)
 	return buf
@@ -212,7 +212,7 @@ func quoteTBS(pcr [32]byte, nonce []byte) []byte {
 func Attest(machine pki.Identity, rep Report, nonce []byte) Quote {
 	return Quote{
 		PCR:       rep.PCR,
-		Nonce:     append([]byte(nil), nonce...), //worksim:allow the quote must own its nonce copy (caller may reuse the buffer); one small allocation per attestation round
+		Nonce:     append([]byte(nil), nonce...), // the quote owns its copy: the caller may reuse nonce
 		Signature: machine.Sign(quoteTBS(rep.PCR, nonce)),
 	}
 }
@@ -223,13 +223,13 @@ func Attest(machine pki.Identity, rep Report, nonce []byte) Quote {
 //worksim:hotpath
 func VerifyQuote(machineCert pki.Certificate, q Quote, golden [32]byte, nonce []byte) error {
 	if !bytes.Equal(q.Nonce, nonce) {
-		return fmt.Errorf("%w: nonce mismatch", ErrQuoteInvalid) //worksim:allow cold rejection path, runs only for replayed or stale quotes
+		return fmt.Errorf("%w: nonce mismatch", ErrQuoteInvalid)
 	}
 	if !pki.VerifySignature(machineCert, quoteTBS(q.PCR, q.Nonce), q.Signature) {
-		return fmt.Errorf("%w: signature", ErrQuoteInvalid) //worksim:allow cold rejection path, runs only for forged quotes
+		return fmt.Errorf("%w: signature", ErrQuoteInvalid)
 	}
 	if !bytes.Equal(q.PCR[:], golden[:]) {
-		return fmt.Errorf("%w: PCR mismatch (tampered chain)", ErrQuoteInvalid) //worksim:allow cold rejection path, runs only for tampered boot chains
+		return fmt.Errorf("%w: PCR mismatch (tampered chain)", ErrQuoteInvalid)
 	}
 	return nil
 }

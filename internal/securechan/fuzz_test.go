@@ -38,8 +38,8 @@ func FuzzSealOpen(f *testing.F) {
 		if err != nil {
 			t.Fatalf("fork responder: %v", err)
 		}
-		upInit.opts.Unpooled = true
-		upResp.opts.Unpooled = true
+		upInit.unpooled = true
+		upResp.unpooled = true
 		unpooled := pair{init: upInit, resp: upResp}
 
 		seal := func() []byte {

@@ -52,12 +52,6 @@ type Options struct {
 	// Now returns the current virtual time for certificate validation; nil
 	// means time zero.
 	Now func() time.Duration
-	// Unpooled disables the record-buffer and cipher reuse of the steady
-	// state: every Seal/Open rebuilds the AEAD from the traffic key and
-	// returns a freshly allocated record/plaintext. It exists for the
-	// differential tests that prove the pooled fast path produces the exact
-	// bytes of the allocation-per-record reference implementation.
-	Unpooled bool
 }
 
 // Stats counts record-layer events.
@@ -107,6 +101,13 @@ type Channel struct {
 	nonceBuf       [12]byte // per-record GCM nonce scratch
 
 	stats Stats
+
+	// unpooled disables the record-buffer and cipher reuse of the steady
+	// state: every Seal/Open rebuilds the AEAD from the traffic key and
+	// returns a freshly allocated record/plaintext. FuzzSealOpen sets it on
+	// a forked twin to prove the pooled fast path produces the exact bytes
+	// of this allocation-per-record reference implementation.
+	unpooled bool
 }
 
 // NewInitiator creates the initiating endpoint of a channel.
@@ -350,7 +351,7 @@ func (c *Channel) deriveKeys(peerEph, initNonce, respNonce []byte) error {
 	} else {
 		c.txKey, c.rxKey = r2i, i2r
 	}
-	if !c.opts.Unpooled {
+	if !c.unpooled {
 		var err error
 		if c.txAEAD, err = newAEAD(c.txKey); err != nil {
 			return err
@@ -381,7 +382,7 @@ func (c *Channel) Fork() (*Channel, error) {
 		ident:      c.ident,
 		verifier:   c.verifier,
 		initiator:  c.initiator,
-		opts:       Options{RekeyInterval: c.rekeyEvery, Unpooled: c.opts.Unpooled},
+		opts:       Options{RekeyInterval: c.rekeyEvery},
 		st:         stateEstablished,
 		peerCert:   c.peerCert,
 		txKey:      c.txKey,
@@ -389,6 +390,7 @@ func (c *Channel) Fork() (*Channel, error) {
 		rekeyEvery: c.rekeyEvery,
 		txAEAD:     c.txAEAD,
 		rxAEAD:     c.rxAEAD,
+		unpooled:   c.unpooled,
 	}
 	return fork, nil
 }
@@ -398,7 +400,7 @@ func (c *Channel) Fork() (*Channel, error) {
 // The returned slice aliases the channel's pooled record buffer and is valid
 // until the next Seal on this channel; callers that retain records across
 // seals must copy (the simulator's network adapter copies the payload into
-// its own frame storage before transmitting). Under Options.Unpooled every
+// its own frame storage before transmitting). On an unpooled channel every
 // record is a fresh allocation instead.
 //
 //worksim:hotpath
@@ -420,7 +422,7 @@ func (c *Channel) Seal(plaintext []byte) ([]byte, error) {
 		}
 		c.txAEAD = aead
 	}
-	if c.opts.Unpooled {
+	if c.unpooled {
 		return c.sealUnpooled(seq, plaintext)
 	}
 	buf := c.sealBuf[:0]
@@ -462,7 +464,7 @@ const maxEpochSkip = 1 << 10
 // perturb the channel.
 //
 // The returned plaintext aliases the channel's pooled buffer and is valid
-// until the next Open on this channel; under Options.Unpooled it is a fresh
+// until the next Open on this channel; on an unpooled channel it is a fresh
 // allocation instead.
 //
 //worksim:hotpath
@@ -472,21 +474,21 @@ func (c *Channel) Open(record []byte) ([]byte, error) {
 	}
 	if len(record) < 8 {
 		c.stats.DecryptFailures++
-		return nil, fmt.Errorf("%w: short record", ErrDecrypt) //worksim:allow cold rejection path, runs only on malformed input
+		return nil, fmt.Errorf("%w: short record", ErrDecrypt)
 	}
 	seq := binary.BigEndian.Uint64(record[:8])
 	if c.stats.RecordsOpened > 0 && seq < c.rxSeq {
 		c.stats.ReplaysRejected++
-		return nil, fmt.Errorf("%w: seq %d < %d", ErrReplay, seq, c.rxSeq) //worksim:allow cold rejection path, runs only under replay attack
+		return nil, fmt.Errorf("%w: seq %d < %d", ErrReplay, seq, c.rxSeq)
 	}
 	epoch := seq / c.rekeyEvery
 	if epoch < c.rxEpoch {
 		c.stats.ReplaysRejected++
-		return nil, fmt.Errorf("%w: epoch %d already ratcheted away", ErrReplay, epoch) //worksim:allow cold rejection path, runs only under replay attack
+		return nil, fmt.Errorf("%w: epoch %d already ratcheted away", ErrReplay, epoch)
 	}
 	if epoch-c.rxEpoch > maxEpochSkip {
 		c.stats.DecryptFailures++
-		return nil, fmt.Errorf("%w: implausible epoch skip %d", ErrDecrypt, epoch-c.rxEpoch) //worksim:allow cold rejection path, runs only on forged records
+		return nil, fmt.Errorf("%w: implausible epoch skip %d", ErrDecrypt, epoch-c.rxEpoch)
 	}
 	key, aead := c.rxKey, c.rxAEAD
 	if epoch > c.rxEpoch || aead == nil {
@@ -504,7 +506,7 @@ func (c *Channel) Open(record []byte) ([]byte, error) {
 	}
 	var pt []byte
 	var err error
-	if c.opts.Unpooled {
+	if c.unpooled {
 		pt, err = aead.Open(nil, recordNonce(seq), record[8:], record[:8])
 	} else {
 		binary.BigEndian.PutUint64(c.nonceBuf[4:], seq)
@@ -512,9 +514,9 @@ func (c *Channel) Open(record []byte) ([]byte, error) {
 	}
 	if err != nil {
 		c.stats.DecryptFailures++
-		return nil, fmt.Errorf("%w: %v", ErrDecrypt, err) //worksim:allow cold rejection path, runs only on tampered records
+		return nil, fmt.Errorf("%w: %v", ErrDecrypt, err)
 	}
-	if !c.opts.Unpooled {
+	if !c.unpooled {
 		c.openBuf = pt
 		c.rxAEAD = aead
 	}
@@ -534,11 +536,11 @@ func (c *Channel) Open(record []byte) ([]byte, error) {
 func newAEAD(key []byte) (cipher.AEAD, error) {
 	block, err := aes.NewCipher(key)
 	if err != nil {
-		return nil, fmt.Errorf("record cipher: %w", err) //worksim:allow cold path: AES key sizes are fixed by the handshake, so this never runs in steady state
+		return nil, fmt.Errorf("record cipher: %w", err)
 	}
 	aead, err := cipher.NewGCM(block)
 	if err != nil {
-		return nil, fmt.Errorf("record aead: %w", err) //worksim:allow cold path: GCM over AES never fails for the keys the handshake derives
+		return nil, fmt.Errorf("record aead: %w", err)
 	}
 	return aead, nil
 }
@@ -547,7 +549,7 @@ func newAEAD(key []byte) (cipher.AEAD, error) {
 //
 //worksim:hotpath
 func recordNonce(seq uint64) []byte {
-	nonce := make([]byte, 12) //worksim:allow fixed 12-byte nonce required by the AEAD API; counted in lint/escape_budget.json
+	nonce := make([]byte, 12)
 	binary.BigEndian.PutUint64(nonce[4:], seq)
 	return nonce
 }

@@ -2,7 +2,12 @@ package securechan
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 	"time"
@@ -10,6 +15,8 @@ import (
 	"repro/internal/pki"
 	"repro/internal/rng"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files with current output")
 
 type pair struct {
 	init, resp *Channel
@@ -96,7 +103,13 @@ func TestHandshakeAndRoundTrip(t *testing.T) {
 
 // TestHandshakeReproducible: two handshakes from equal rng seeds produce
 // identical transcripts on both sides and identical first records in both
-// directions, so commissioning is a pure function of the seed.
+// directions, so commissioning is a pure function of the seed. The bytes are
+// also pinned against testdata/handshake.golden, so a toolchain change that
+// moves them fails here; regenerate with
+//
+//	go test ./internal/securechan -run TestHandshakeReproducible -update
+//
+// and justify the diff in review.
 func TestHandshakeReproducible(t *testing.T) {
 	a, b := handshakePair(t, Options{}), handshakePair(t, Options{})
 	if !bytes.Equal(a.init.transcript, b.init.transcript) {
@@ -105,6 +118,8 @@ func TestHandshakeReproducible(t *testing.T) {
 	if !bytes.Equal(a.resp.transcript, b.resp.transcript) {
 		t.Fatal("responder transcripts differ between two handshakes from one seed")
 	}
+	got := fmt.Sprintf("initiator transcript sha256 %x\nresponder transcript sha256 %x\n",
+		sha256.Sum256(a.init.transcript), sha256.Sum256(a.resp.transcript))
 	for _, dir := range []struct {
 		name   string
 		ca, cb *Channel
@@ -120,6 +135,25 @@ func TestHandshakeReproducible(t *testing.T) {
 		if !bytes.Equal(ra, rb) {
 			t.Fatalf("%s first records differ:\n  %x\n  %x", dir.name, ra, rb)
 		}
+		got += fmt.Sprintf("%s first record %x\n", dir.name, ra)
+	}
+
+	path := filepath.Join("testdata", "handshake.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden: %v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Fatalf("handshake bytes drifted from %s.\n"+
+			"If the change is intentional, regenerate with -update and call it out in review.\ngot:\n%swant:\n%s",
+			path, got, want)
 	}
 }
 

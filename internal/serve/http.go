@@ -41,6 +41,12 @@ func unprocessable(format string, args ...any) *apiError {
 		Message: fmt.Sprintf(format, args...)}
 }
 
+// invalidField builds a 422 naming the offending request field.
+func invalidField(field, format string, args ...any) *apiError {
+	return &apiError{Status: http.StatusUnprocessableEntity, Code: "invalid_spec",
+		Field: field, Message: fmt.Sprintf(format, args...)}
+}
+
 // notFound builds a 404 for unknown job IDs.
 func notFound(kind, id string) *apiError {
 	return &apiError{Status: http.StatusNotFound, Code: "not_found",

@@ -196,6 +196,10 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 			horizon = DefaultHorizon
 		}
 	}
+	if horizon > maxSimDuration {
+		writeError(w, invalidField("horizonNs", "horizon %v exceeds the cap of %v", horizon, maxSimDuration))
+		return
+	}
 	if apiErr := s.acquireJobSlot(); apiErr != nil {
 		writeError(w, apiErr)
 		return

@@ -59,6 +59,15 @@ const (
 	DefaultHorizon       = 10 * time.Minute
 	// maxRequestBody bounds request bodies (a scenario spec is ~1 KiB).
 	maxRequestBody = 1 << 20
+	// maxSimDuration caps a run's horizonNs and a sweep's durationNs: one
+	// simulated day, 144 times the default horizon.
+	maxSimDuration = 24 * time.Hour
+	// maxSweepRuns caps a sweep's scenarios × profiles × seeds.count cube.
+	// The engine expands the seed range up front, so an unbounded count is
+	// an unbounded allocation before the first run starts.
+	maxSweepRuns = 10_000
+	// maxParallel caps a sweep's worker pool.
+	maxParallel = 256
 	// readHeaderTimeout bounds how long a client may take to send its
 	// request headers, so a slow sender cannot hold a connection forever.
 	readHeaderTimeout = 10 * time.Second

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -228,5 +231,40 @@ func TestHTTPServerTimeouts(t *testing.T) {
 	}
 	if srv.WriteTimeout != 0 {
 		t.Fatalf("WriteTimeout = %v, want 0 so event streams are not cut", srv.WriteTimeout)
+	}
+}
+
+// TestSubmitCaps: a run horizon, a sweep duration, a sweep's worker pool or
+// a sweep cube above its cap is a 422 naming the field, and creates no job.
+func TestSubmitCaps(t *testing.T) {
+	overDay := int64(maxSimDuration) + 1
+	cases := []struct {
+		name, path, body, field string
+	}{
+		{"run horizon", "/v1/runs", fmt.Sprintf(`{"scenario":"baseline","horizonNs":%d}`, overDay), "horizonNs"},
+		{"declared spec horizon", "/v1/runs", fmt.Sprintf(`{"spec":{"horizonNs":%d}}`, overDay), "horizonNs"},
+		{"sweep duration", "/v1/sweeps", fmt.Sprintf(`{"durationNs":%d}`, overDay), "durationNs"},
+		{"sweep parallel", "/v1/sweeps", fmt.Sprintf(`{"parallel":%d}`, maxParallel+1), "parallel"},
+		{"one cell, one seed over", "/v1/sweeps",
+			fmt.Sprintf(`{"scenarios":["baseline"],"profiles":["secured"],"seeds":{"count":%d}}`, maxSweepRuns+1), "seeds.count"},
+		{"billion seeds over the catalog", "/v1/sweeps", `{"seeds":{"count":1000000000}}`, "seeds.count"},
+		{"count that overflows the cube", "/v1/sweeps", `{"seeds":{"count":9223372036854775807}}`, "seeds.count"},
+	}
+	s := New(Config{})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
+			var body struct{ Error apiError }
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+				t.Fatalf("decode %q: %v", rec.Body, err)
+			}
+			if rec.Code != http.StatusUnprocessableEntity || body.Error.Field != tc.field {
+				t.Fatalf("status %d field %q, want 422 field %q (error: %+v)", rec.Code, body.Error.Field, tc.field, body.Error)
+			}
+		})
+	}
+	if runs, sweeps := len(s.runs.all()), len(s.sweeps.all()); runs != 0 || sweeps != 0 {
+		t.Fatalf("rejected submissions created %d runs and %d sweeps", runs, sweeps)
 	}
 }

@@ -164,12 +164,25 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	duration := time.Duration(req.DurationNs)
 	if duration < 0 {
-		writeError(w, &apiError{Status: http.StatusUnprocessableEntity,
-			Code: "invalid_spec", Field: "durationNs", Message: "duration must be positive"})
+		writeError(w, invalidField("durationNs", "duration must be positive"))
 		return
 	}
 	if duration == 0 {
 		duration = campaign.DefaultSweepDuration
+	}
+	if duration > maxSimDuration {
+		writeError(w, invalidField("durationNs", "duration %v exceeds the cap of %v", duration, maxSimDuration))
+		return
+	}
+	if req.Parallel > maxParallel {
+		writeError(w, invalidField("parallel", "parallel %d exceeds the cap of %d", req.Parallel, maxParallel))
+		return
+	}
+	// Divide rather than multiply: the product of a huge count overflows.
+	if cells := len(scenarios) * len(profiles); seeds.Count > maxSweepRuns/cells {
+		writeError(w, invalidField("seeds.count", "%d cells × %d seeds exceeds the cap of %d runs",
+			cells, seeds.Count, maxSweepRuns))
+		return
 	}
 	if apiErr := s.acquireJobSlot(); apiErr != nil {
 		writeError(w, apiErr)

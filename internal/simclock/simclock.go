@@ -85,7 +85,7 @@ func (s *Scheduler) schedule(t time.Duration, fn Event, task Task) Handle {
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 	} else {
-		qe = new(queuedEvent) //worksim:allow pool warm-up: allocates only until the node pool reaches high water
+		qe = new(queuedEvent)
 	}
 	*qe = queuedEvent{at: t, seq: s.seq, fn: fn, task: task, handle: h}
 	heap.Push(&s.queue, qe)

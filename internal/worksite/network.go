@@ -328,7 +328,7 @@ func (s *Site) linkName(a, b radio.NodeID) string {
 	if name, ok := s.linkNames[chanKey{a, b}]; ok {
 		return name
 	}
-	return string(a) + "<->" + string(b) //worksim:allow fallback for pairs outside the precomputed table; commissioning registers every pair, so steady-state ingest never reaches it
+	return string(a) + "<->" + string(b)
 }
 
 func (s *Site) wireMessageHandlers() {

@@ -153,7 +153,7 @@ func (s *Site) updateOperatingMode(now time.Duration) {
 		s.publishSecurityResponse(SecurityResponse{
 			At:     now,
 			Kind:   ResponseModeEscalation,
-			Detail: fmt.Sprintf("%s -> %s", s.mode, mode), //worksim:allow mode escalations are discrete transitions, excluded from the steady-state zero-alloc window
+			Detail: fmt.Sprintf("%s -> %s", s.mode, mode),
 		})
 	}
 	s.publishModeChange(ModeChange{At: now, From: s.mode.String(), To: mode.String()})

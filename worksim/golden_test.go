@@ -2,6 +2,7 @@ package worksim_test
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"repro/worksim"
+	"repro/worksim/pathway"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
@@ -54,6 +56,50 @@ func TestSweepJSONGolden(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Fatalf("sweep JSON drifted from %s (%d vs %d bytes).\n"+
+			"If the change to the public schema is intentional, regenerate with -update and call it out in review.\ngot:\n%s",
+			path, len(got), len(want), got)
+	}
+}
+
+// TestPathwayJSONGolden locks the paper's headline output — risk registers,
+// operational evidence, assurance case evaluation and CE verdict — for seeds
+// 1 and 42 under both profiles with default options, against
+// testdata/pathway.golden.json. Regenerate with
+//
+//	go test ./worksim -run TestPathwayJSONGolden -update
+//
+// and justify the diff in review.
+func TestPathwayJSONGolden(t *testing.T) {
+	var results []*pathway.Result
+	for _, seed := range []int64{1, 42} {
+		for _, secured := range []bool{false, true} {
+			res, err := pathway.Run(context.Background(), pathway.Options{Seed: seed, Secured: secured})
+			if err != nil {
+				t.Fatalf("seed %d secured=%v: %v", seed, secured, err)
+			}
+			results = append(results, res)
+		}
+	}
+	got, err := json.MarshalIndent(results, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+
+	path := filepath.Join("testdata", "pathway.golden.json")
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d bytes)", path, len(got))
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden: %v (run with -update to create it)", err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("pathway JSON drifted from %s (%d vs %d bytes).\n"+
 			"If the change to the public schema is intentional, regenerate with -update and call it out in review.\ngot:\n%s",
 			path, len(got), len(want), got)
 	}

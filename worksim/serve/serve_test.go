@@ -369,9 +369,9 @@ func TestCancelMidRun(t *testing.T) {
 	ts := newTestServer(t, serve.Config{})
 
 	var st runStatus
-	// A 200-hour horizon cannot finish during the test; only cancellation
-	// ends it.
-	code := postJSON(t, ts.URL+"/v1/runs", `{"scenario":"baseline","horizonNs":720000000000000}`, &st)
+	// The daemon's longest horizon, 24 hours, takes over a second to
+	// simulate, far longer than the test takes to cancel it.
+	code := postJSON(t, ts.URL+"/v1/runs", `{"scenario":"baseline","horizonNs":86400000000000}`, &st)
 	if code != http.StatusAccepted {
 		t.Fatalf("POST /v1/runs: status %d", code)
 	}
@@ -640,7 +640,7 @@ func TestSweepCacheProgress(t *testing.T) {
 func TestQuota(t *testing.T) {
 	ts := newTestServer(t, serve.Config{MaxConcurrentJobs: 1})
 	var first runStatus
-	if code := postJSON(t, ts.URL+"/v1/runs", `{"scenario":"baseline","horizonNs":720000000000000}`, &first); code != http.StatusAccepted {
+	if code := postJSON(t, ts.URL+"/v1/runs", `{"scenario":"baseline","horizonNs":86400000000000}`, &first); code != http.StatusAccepted {
 		t.Fatalf("first submission: status %d", code)
 	}
 	var errBody apiErrorBody
@@ -687,7 +687,7 @@ func TestGracefulDrain(t *testing.T) {
 	base := "http://" + ln.Addr().String()
 
 	var st runStatus
-	if code := postJSON(t, base+"/v1/runs", `{"scenario":"baseline","horizonNs":720000000000000}`, &st); code != http.StatusAccepted {
+	if code := postJSON(t, base+"/v1/runs", `{"scenario":"baseline","horizonNs":86400000000000}`, &st); code != http.StatusAccepted {
 		t.Fatalf("submission: status %d", code)
 	}
 	pollRun(t, base, st.ID, func(s runStatus) bool { return s.Events > 0 })
