@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -41,17 +43,12 @@ func (s SeedRange) String() string {
 type Options struct {
 	// Seeds is the seed range to fan out over.
 	Seeds SeedRange
-	// Parallel bounds the worker pool (clamped to [1, Seeds.Count]).
+	// Parallel bounds the worker pool: 0 means runtime.GOMAXPROCS(0), and
+	// the pool is never wider than the number of seeds.
 	Parallel int
 	// Params is the per-run parameter template; Seed is overridden per seed
 	// and zero fields are filled from the experiment defaults.
 	Params Params
-	// SeedFilter, when non-nil, restricts the campaign to the seeds it
-	// accepts — the seam sharded sweeps partition the cube through. The
-	// result keeps the full Seeds range as metadata; PerSeed carries only
-	// the accepted seeds, and a filter that accepts none yields an empty
-	// (not failed) result so every shard can report every cell.
-	SeedFilter func(int64) bool
 }
 
 // SeedRun is the per-seed record of a campaign.
@@ -120,69 +117,20 @@ func Run(ctx context.Context, exp Experiment, opts Options) (*Result, error) {
 		seeds = seeds[:1]
 		opts.Seeds = SeedRange{Base: seeds[0], Count: 1}
 	}
-	if opts.SeedFilter != nil {
-		kept := make([]int64, 0, len(seeds))
-		for _, s := range seeds {
-			if opts.SeedFilter(s) {
-				kept = append(kept, s)
-			}
-		}
-		seeds = kept
-		if len(seeds) == 0 {
-			// Every seed of this cell hashes to another shard: an empty
-			// slice is a valid answer, not a failure.
-			return &Result{
-				Version:      version.Engine,
-				ExperimentID: exp.ID,
-				Section:      exp.Section,
-				Description:  exp.Description,
-				Params:       opts.Params.WithDefaults(exp.Defaults),
-				Seeds:        opts.Seeds,
-				Aggregates:   aggregate(nil),
-			}, nil
-		}
-	}
-	workers := opts.Parallel
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
 	params := opts.Params.WithDefaults(exp.Defaults)
 
-	type slot struct {
-		out Outcome
-		err error
-	}
-	slots := make([]slot, len(seeds))
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			//worksim:tickloop
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(seeds) {
-					return
-				}
-				p := params
-				p.Seed = seeds[i]
-				out, err := exp.Run(ctx, p)
-				slots[i] = slot{out: out, err: err}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	outs, failed, err := forEach(ctx, opts.Parallel, len(seeds), func(i int) (Outcome, error) {
+		p := params
+		p.Seed = seeds[i]
+		return exp.Run(ctx, p)
+	})
+	if cerr := ctx.Err(); cerr != nil {
 		// The pool has drained; partial per-seed results are discarded so a
 		// cancelled campaign can never be mistaken for a completed one.
-		return nil, fmt.Errorf("campaign %s: %w", exp.ID, err)
+		return nil, fmt.Errorf("campaign %s: %w", exp.ID, cerr)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("campaign %s seed %d: %w", exp.ID, seeds[failed], err)
 	}
 
 	res := &Result{
@@ -193,20 +141,71 @@ func Run(ctx context.Context, exp Experiment, opts Options) (*Result, error) {
 		Params:       params,
 		Seeds:        opts.Seeds,
 	}
-	for i, s := range slots {
-		if s.err != nil {
-			return nil, fmt.Errorf("campaign %s seed %d: %w", exp.ID, seeds[i], s.err)
-		}
-		res.PerSeed = append(res.PerSeed, SeedRun{
-			Seed:       seeds[i],
-			Metrics:    s.out.Metrics,
-			Timeseries: s.out.Timeseries,
-			StoppedAt:  s.out.StoppedAt,
-		})
-		res.Outcomes = append(res.Outcomes, s.out)
+	for i, out := range outs {
+		res.add(seeds[i], out)
 	}
 	res.Aggregates = aggregate(res.PerSeed)
 	return res, nil
+}
+
+// add appends one seed's outcome to the per-seed record.
+func (r *Result) add(seed int64, out Outcome) {
+	r.PerSeed = append(r.PerSeed, SeedRun{Seed: seed, Metrics: out.Metrics, Timeseries: out.Timeseries, StoppedAt: out.StoppedAt})
+	r.Outcomes = append(r.Outcomes, out)
+}
+
+// forEach runs fn(i) for every i in [0, n) on the one bounded pool behind
+// Run and Sweep, storing outcomes by index. workers < 1 means
+// runtime.GOMAXPROCS(0), and the pool is never wider than n. Workers stop
+// claiming once ctx fires, so callers check ctx.Err() afterwards. A panic
+// in fn fails that item only. failed is the lowest failed index, err its
+// error; (-1, nil) when every claimed item succeeded.
+func forEach(ctx context.Context, workers, n int, fn func(i int) (Outcome, error)) (outs []Outcome, failed int, err error) {
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	outs = make([]Outcome, n)
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			//worksim:tickloop
+			for {
+				if ctx.Err() != nil {
+					return
+				}
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				outs[i], errs[i] = callItem(fn, i)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return outs, i, err
+		}
+	}
+	return outs, -1, nil
+}
+
+// callItem runs fn(i), turning a panic into that item's error so one
+// faulty run cannot take down the process and every run beside it.
+func callItem(fn func(i int) (Outcome, error), i int) (out Outcome, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
+		}
+	}()
+	return fn(i)
 }
 
 // aggregate computes per-metric summaries over the union of metric keys,

@@ -26,7 +26,8 @@ type SweepOptions struct {
 	Profiles []string
 	// Seeds is the seed range each cell fans out over.
 	Seeds SeedRange
-	// Parallel bounds the per-cell worker pool.
+	// Parallel bounds the one worker pool over the whole cube: 0 means
+	// runtime.GOMAXPROCS(0), and the pool is never wider than the run count.
 	Parallel int
 	// Duration is the simulated duration per run (0 = 10 minutes).
 	Duration time.Duration
@@ -218,10 +219,10 @@ type SweepResult struct {
 	Cells []SweepCell `json:"cells"`
 }
 
-// Sweep fans the scenario × profile × seed cross-product out with the
-// existing bounded pool and aggregation machinery: each cell becomes an
-// ephemeral experiment campaigned over the seed range, so per-cell output is
-// byte-reproducible regardless of Parallel.
+// Sweep fans the scenario × profile × seed cross-product out as one queue
+// of (cell, seed) runs over one bounded pool, then aggregates each cell's
+// runs in seed order, so per-cell output is byte-reproducible regardless of
+// Parallel. Every scenario and profile is resolved before any run starts.
 //
 // With Shard enabled only the owned slice of the cube executes; with
 // CacheDir set completed runs are stored in (and served from) the
@@ -230,10 +231,11 @@ type SweepResult struct {
 // stopped. None of the three changes a single byte of the result for the
 // runs they cover — they only change where the bytes come from.
 //
-// The context cancels the sweep end to end: the per-cell worker pool stops
-// claiming seeds, in-flight simulation runs stop between control ticks, and
-// Sweep returns ctx.Err() once the pool has drained. A context that never
-// fires yields byte-identical output to an uncancellable sweep.
+// The context cancels the sweep end to end: the pool stops claiming runs,
+// in-flight simulation runs stop between control ticks, and Sweep returns
+// ctx.Err() once the pool has drained. A context that never fires yields
+// byte-identical output to an uncancellable sweep. Otherwise the first
+// failed run in cube order fails the sweep.
 func Sweep(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -249,6 +251,10 @@ func Sweep(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
 	d := opts.Duration
 	if d <= 0 {
 		d = DefaultSweepDuration
+	}
+	seeds := opts.Seeds.Seeds()
+	if len(seeds) == 0 {
+		return nil, fmt.Errorf("sweep: empty seed range")
 	}
 	if err := opts.Shard.Validate(); err != nil {
 		return nil, fmt.Errorf("sweep: %w", err)
@@ -289,9 +295,19 @@ func Sweep(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
 	if opts.Shard.Enabled() {
 		res.Shard = &ShardInfo{Index: opts.Shard.Index, Count: opts.Shard.Count}
 	}
-	// One commissioner for the whole sweep: its bundles live only as long as
-	// the sweep does, so no security state outlives the call.
+	// One commissioner for the whole sweep, shared by every cell's batch:
+	// the first run that simulates commissions the bundle for its drone
+	// setting, later runs fork it (scenario.Batch's byte-identity contract),
+	// cached runs never commission, and no security state outlives the call.
 	comm := &worksite.Commissioner{}
+	// The work queue lists every owned run cell-major, then in seed order,
+	// so results assemble by index into each cell's seed order.
+	type run struct {
+		cell *cellRef
+		res  *Result
+		seed int64
+	}
+	var runs []run
 	for _, name := range names {
 		spec, err := scenario.Get(name)
 		if err != nil {
@@ -304,44 +320,48 @@ func Sweep(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
 			}
 			cell := cellRef{scenario: name, profile: profName, spec: spec.WithProfile(prof)}
 			if env.cache != nil || env.ckpt != nil {
-				h, err := cell.spec.Hash()
-				if err != nil {
+				if cell.specHash, err = cell.spec.Hash(); err != nil {
 					return nil, fmt.Errorf("sweep %s/%s: %w", name, profName, err)
 				}
-				cell.specHash = h
 			}
-			// Every cell shares the sweep's commissioner: the first seed that
-			// simulates commissions the bundle for its drone setting, later
-			// seeds of every cell fork it (byte-identical output —
-			// scenario.Batch's contract), and seeds served from the cache or
-			// checkpoint never commission at all.
-			batch, err := scenario.NewBatchWith(cell.spec, comm)
-			if err != nil {
+			if cell.batch, err = scenario.NewBatchWith(cell.spec, comm); err != nil {
 				return nil, fmt.Errorf("sweep %s/%s: %w", name, profName, err)
 			}
-			cell.batch = batch
-			exp := Experiment{
-				ID:          name + "/" + profName,
-				Section:     "sweep",
-				Description: spec.Description,
-				Defaults:    Params{Duration: d},
-				Run: func(ctx context.Context, p Params) (Outcome, error) {
-					return env.runCell(ctx, cell, p)
-				},
+			cr := &Result{
+				Version:      version.Engine,
+				ExperimentID: name + "/" + profName,
+				Section:      "sweep",
+				Description:  spec.Description,
+				Params:       Params{Duration: d},
+				Seeds:        opts.Seeds,
 			}
-			runOpts := Options{Seeds: opts.Seeds, Parallel: opts.Parallel}
-			if opts.Shard.Enabled() {
-				sel := opts.Shard
-				runOpts.SeedFilter = func(seed int64) bool {
-					return sel.Owns(shard.Key{Scenario: cell.scenario, Profile: cell.profile, Seed: seed})
+			res.Cells = append(res.Cells, SweepCell{Scenario: name, Profile: profName, Result: cr})
+			for _, seed := range seeds {
+				if opts.Shard.Owns(shard.Key{Scenario: name, Profile: profName, Seed: seed}) {
+					runs = append(runs, run{cell: &cell, res: cr, seed: seed})
 				}
 			}
-			cellRes, err := Run(ctx, exp, runOpts)
-			if err != nil {
-				return nil, fmt.Errorf("sweep %s: %w", exp.ID, err)
-			}
-			res.Cells = append(res.Cells, SweepCell{Scenario: name, Profile: profName, Result: cellRes})
 		}
+	}
+
+	outs, failed, err := forEach(ctx, opts.Parallel, len(runs), func(i int) (Outcome, error) {
+		return env.runCell(ctx, *runs[i].cell, Params{Seed: runs[i].seed, Duration: d})
+	})
+	if cerr := ctx.Err(); cerr != nil {
+		// Partial results are dropped: a cancelled sweep can never be
+		// mistaken for a completed one.
+		return nil, fmt.Errorf("sweep: %w", cerr)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("sweep %s seed %d: %w", runs[failed].res.ExperimentID, runs[failed].seed, err)
+	}
+	for i, r := range runs {
+		r.res.add(r.seed, outs[i])
+	}
+	// A cell whose runs all hash to other shards keeps a nil PerSeed and
+	// empty aggregates, so every shard reports every cell.
+	for _, c := range res.Cells {
+		c.Result.Aggregates = aggregate(c.Result.PerSeed)
 	}
 	return res, nil
 }
@@ -452,20 +472,11 @@ func (e *sweepEnv) done() {
 	}
 }
 
-// execute runs one (scenario, profile, seed) simulation. The plain path (no
-// sampling, no early stop) closes the loop with scenario.Run; the
-// instrumented path drives a session tick by tick, so the two are the same
-// simulation advanced in different strides — deterministically identical
-// when no predicate cuts the run short.
+// execute runs one (scenario, profile, seed) simulation: build the session,
+// subscribe the sampler when sampling is on, and run it to the horizon or
+// the early-stop tick. A nil EarlyStop runs straight to the horizon, the
+// same bytes as an uninstrumented run.
 func (e *sweepEnv) execute(ctx context.Context, cell cellRef, p Params) (Outcome, error) {
-	if e.opts.SampleEvery <= 0 && e.opts.EarlyStop == nil {
-		rep, err := cell.batch.Run(ctx, p.Seed, p.Duration)
-		if err != nil {
-			return Outcome{}, err
-		}
-		return Outcome{Metrics: SweepMetrics(rep)}, nil
-	}
-
 	sess, _, err := cell.batch.Build(p.Seed, p.Duration)
 	if err != nil {
 		return Outcome{}, err

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -24,8 +23,8 @@ const batchTemplateSeed int64 = 0
 // cell of a sweep, every run of a daemon — shares the bundle too, and no
 // seed pays for keygen and four handshakes.
 //
-// A Batch is immutable after construction and safe for concurrent Build/Run
-// calls from pool workers.
+// A Batch is immutable after construction and safe for concurrent Build
+// calls from pool workers; each built session is then run by its caller.
 type Batch struct {
 	spec Spec
 	comm *worksite.Commissioner
@@ -76,18 +75,4 @@ func (b *Batch) Build(seed int64, d time.Duration) (*worksite.Session, *attack.C
 		return nil, nil, err
 	}
 	return buildShared(b.spec, sh, seed, d)
-}
-
-// Run builds one per-seed session and executes it for d of simulated time,
-// with the same contract as the package-level Run.
-func (b *Batch) Run(ctx context.Context, seed int64, d time.Duration) (worksite.Report, error) {
-	sess, _, err := b.Build(seed, d)
-	if err != nil {
-		return worksite.Report{}, err
-	}
-	rep, err := sess.Run(ctx, d)
-	if err != nil {
-		return worksite.Report{}, fmt.Errorf("scenario %q: %w", b.spec.Name, err)
-	}
-	return rep, nil
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -250,11 +252,19 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j.status(false))
 }
 
-// executeRun drives one run to completion on its own goroutine.
+// executeRun drives one run to completion on its own goroutine. A panic in
+// the run fails this job only: the recover, deferred last so it runs first,
+// records the failure before the event log closes and the slot is released.
 func (s *Server) executeRun(ctx context.Context, j *runJob, sess *worksite.Session) {
 	defer s.jobs.Add(-1)
 	defer s.releaseJobSlot()
 	defer j.log.close()
+	defer func() {
+		if r := recover(); r != nil {
+			j.finish(StateFailed, nil, fmt.Sprintf("panic: %v", r))
+			s.log.Error("run panicked", "runID", j.id, "panic", fmt.Sprint(r), "stack", string(debug.Stack()))
+		}
+	}()
 	j.setState(StateRunning)
 	err := sess.RunFor(ctx, j.horizon)
 	switch {

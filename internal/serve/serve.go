@@ -68,6 +68,9 @@ const (
 	maxSweepRuns = 10_000
 	// maxParallel caps a sweep's worker pool.
 	maxParallel = 256
+	// maxSweepPoints caps a sampled sweep's timeseries: runs ×
+	// ⌈durationNs / sampleNs⌉ TimePoints, all held until the sweep ends.
+	maxSweepPoints = 1_000_000
 	// readHeaderTimeout bounds how long a client may take to send its
 	// request headers, so a slow sender cannot hold a connection forever.
 	readHeaderTimeout = 10 * time.Second

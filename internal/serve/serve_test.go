@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -8,6 +9,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/scenario"
+	"repro/internal/worksite"
 )
 
 // TestEventLogSequencesAndReplay: appends are 1-based dense sequences; a
@@ -234,8 +238,9 @@ func TestHTTPServerTimeouts(t *testing.T) {
 	}
 }
 
-// TestSubmitCaps: a run horizon, a sweep duration, a sweep's worker pool or
-// a sweep cube above its cap is a 422 naming the field, and creates no job.
+// TestSubmitCaps: a run horizon, a sweep duration, a sweep's worker pool, a
+// sweep cube or a sweep's timeseries above its cap, or a negative sample
+// interval, is a 422 naming the field, and creates no job.
 func TestSubmitCaps(t *testing.T) {
 	overDay := int64(maxSimDuration) + 1
 	cases := []struct {
@@ -249,6 +254,12 @@ func TestSubmitCaps(t *testing.T) {
 			fmt.Sprintf(`{"scenarios":["baseline"],"profiles":["secured"],"seeds":{"count":%d}}`, maxSweepRuns+1), "seeds.count"},
 		{"billion seeds over the catalog", "/v1/sweeps", `{"seeds":{"count":1000000000}}`, "seeds.count"},
 		{"count that overflows the cube", "/v1/sweeps", `{"seeds":{"count":9223372036854775807}}`, "seeds.count"},
+		{"negative sample interval", "/v1/sweeps", `{"scenarios":["baseline"],"sampleNs":-1}`, "sampleNs"},
+		{"one-nanosecond samples over a day", "/v1/sweeps",
+			fmt.Sprintf(`{"scenarios":["baseline"],"profiles":["secured"],"durationNs":%d,"sampleNs":1}`, int64(maxSimDuration)), "sampleNs"},
+		{"timeseries points over the cap", "/v1/sweeps",
+			fmt.Sprintf(`{"scenarios":["baseline"],"profiles":["secured"],"seeds":{"count":%d},"durationNs":%d,"sampleNs":1000}`,
+				maxSweepPoints/1000+1, 1000*1000), "sampleNs"},
 	}
 	s := New(Config{})
 	for _, tc := range cases {
@@ -266,5 +277,44 @@ func TestSubmitCaps(t *testing.T) {
 	}
 	if runs, sweeps := len(s.runs.all()), len(s.sweeps.all()); runs != 0 || sweeps != 0 {
 		t.Fatalf("rejected submissions created %d runs and %d sweeps", runs, sweeps)
+	}
+}
+
+// TestExecuteRunPanicFailsJob: a panic inside a run (here a subscribed
+// observer) fails that job with the panic text instead of killing the
+// daemon, and still closes the event log and frees the job slot.
+func TestExecuteRunPanicFailsJob(t *testing.T) {
+	s := New(Config{})
+	spec, err := scenario.Get("baseline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := scenario.NewBatchWith(spec, &s.comm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, _, err := batch.Build(1, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Subscribe(&worksite.ObserverFuncs{Tick: func(worksite.TickSnapshot) { panic("observer exploded") }})
+	if apiErr := s.acquireJobSlot(); apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	j := s.runs.add(func(id string) *runJob {
+		return &runJob{id: id, horizon: time.Minute, log: newEventLog(8), cancel: func() {}, state: StatePending}
+	})
+	s.jobs.Add(1)
+	s.executeRun(context.Background(), j, sess)
+
+	st := j.status(false)
+	if st.State != StateFailed || !strings.Contains(st.Error, "panic: observer exploded") {
+		t.Fatalf("job after a panicking run = %s %q, want failed with the panic text", st.State, st.Error)
+	}
+	if _, _, closed, _ := j.log.since(0); !closed {
+		t.Fatal("event log left open after a panicking run")
+	}
+	if active, jobs := s.active.Load(), s.jobs.wg.Load(); active != 0 || jobs != 0 {
+		t.Fatalf("after a panicking run: %d active slots, %d job goroutines counted; want 0 and 0", active, jobs)
 	}
 }

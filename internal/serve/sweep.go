@@ -26,9 +26,11 @@ type sweepRequest struct {
 	Seeds campaign.SeedRange `json:"seeds"`
 	// DurationNs is the simulated duration per run (0 = 10 minutes).
 	DurationNs int64 `json:"durationNs,omitempty"`
-	// Parallel bounds the worker pool (0 = 1).
+	// Parallel bounds the one worker pool over the whole cube (0 = the
+	// daemon's GOMAXPROCS).
 	Parallel int `json:"parallel,omitempty"`
-	// SampleNs, when positive, records a downsampled per-seed timeseries.
+	// SampleNs, when positive, records a downsampled per-seed timeseries;
+	// negative is rejected.
 	SampleNs int64 `json:"sampleNs,omitempty"`
 	// EarlyStop names an early-stop predicate (collision, unsafe,
 	// safe-stop, first-alert).
@@ -179,10 +181,24 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Divide rather than multiply: the product of a huge count overflows.
-	if cells := len(scenarios) * len(profiles); seeds.Count > maxSweepRuns/cells {
+	cells := len(scenarios) * len(profiles)
+	if seeds.Count > maxSweepRuns/cells {
 		writeError(w, invalidField("seeds.count", "%d cells × %d seeds exceeds the cap of %d runs",
 			cells, seeds.Count, maxSweepRuns))
 		return
+	}
+	if req.SampleNs < 0 {
+		writeError(w, invalidField("sampleNs", "sample interval must not be negative"))
+		return
+	}
+	if req.SampleNs > 0 {
+		// ⌈duration / sampleNs⌉ without overflow; duration is positive here.
+		runs, perRun := int64(cells*seeds.Count), (int64(duration)-1)/req.SampleNs+1
+		if perRun > maxSweepPoints/runs {
+			writeError(w, invalidField("sampleNs", "%d runs × %d samples per run exceeds the cap of %d timeseries points",
+				runs, perRun, maxSweepPoints))
+			return
+		}
 	}
 	if apiErr := s.acquireJobSlot(); apiErr != nil {
 		writeError(w, apiErr)
@@ -197,7 +213,7 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 			profiles:  profiles,
 			seeds:     seeds,
 			duration:  duration,
-			total:     len(scenarios) * len(profiles) * seeds.Count,
+			total:     cells * seeds.Count,
 			cancel:    cancel,
 			state:     StatePending,
 		}
@@ -220,7 +236,7 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	go s.executeSweep(ctx, j, opts)
 
 	s.log.Info("sweep submitted", "sweepID", j.id,
-		"cells", len(scenarios)*len(profiles), "seeds", seeds.Count, "duration", duration.String())
+		"cells", cells, "seeds", seeds.Count, "duration", duration.String())
 	w.Header().Set(headerJobID, j.id)
 	writeJSON(w, http.StatusAccepted, j.status(false))
 }

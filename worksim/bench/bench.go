@@ -159,8 +159,9 @@ func benchRun(b *testing.B, secured bool) {
 }
 
 // benchSweep32 measures a 32-seed sweep of the baseline scenario, 2
-// simulated minutes each. Parallel is left at 0, which runs one worker, so
-// this is a serial, single-core number.
+// simulated minutes each. Parallel is pinned to 1 (0 would mean one worker
+// per GOMAXPROCS), so this is a serial, single-core number comparable
+// across machines and with the committed records.
 func benchSweep32(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -168,6 +169,7 @@ func benchSweep32(b *testing.B) {
 			Scenarios: []string{"baseline"},
 			Profiles:  []string{"unsecured"},
 			Seeds:     worksim.SeedRange{Base: 1, Count: 32},
+			Parallel:  1,
 			Duration:  2 * time.Minute,
 		})
 		if err != nil {

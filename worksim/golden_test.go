@@ -23,41 +23,55 @@ var update = flag.Bool("update", false, "rewrite golden files with current outpu
 //
 //	go test ./worksim -run TestSweepJSONGolden -update
 //
-// and justify the diff in review.
+// and justify the diff in review. The shard case pins one shard's output
+// as written, before MergeSweeps: its shard header and per-cell results
+// over the seeds it owns. Merge recomputes aggregates and reads a null
+// perSeed like an empty one, so the merge tests cannot see a drift there.
 func TestSweepJSONGolden(t *testing.T) {
-	res, err := worksim.Sweep(context.Background(), worksim.SweepOptions{
-		Scenarios:   []string{"baseline", "gnss-spoof"},
-		Profiles:    []string{"unsecured", "secured"},
-		Seeds:       worksim.SeedRange{Base: 1, Count: 2},
-		Parallel:    2,
-		Duration:    2 * time.Minute,
-		SampleEvery: time.Minute, // timeseries fields are part of the schema
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := res.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, '\n')
+	for _, tc := range []struct {
+		name, file string
+		shard      worksim.ShardSel
+	}{
+		{"whole", "sweep.golden.json", worksim.ShardSel{}},
+		{"shard0of2", "sweep.shard0of2.golden.json", worksim.ShardSel{Index: 0, Count: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := worksim.Sweep(context.Background(), worksim.SweepOptions{
+				Scenarios:   []string{"baseline", "gnss-spoof"},
+				Profiles:    []string{"unsecured", "secured"},
+				Seeds:       worksim.SeedRange{Base: 1, Count: 2},
+				Parallel:    2,
+				Duration:    2 * time.Minute,
+				SampleEvery: time.Minute, // timeseries fields are part of the schema
+				Shard:       tc.shard,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := res.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, '\n')
 
-	path := filepath.Join("testdata", "sweep.golden.json")
-	if *update {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", path, len(got))
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden: %v (run with -update to create it)", err)
-	}
-	if string(got) != string(want) {
-		t.Fatalf("sweep JSON drifted from %s (%d vs %d bytes).\n"+
-			"If the change to the public schema is intentional, regenerate with -update and call it out in review.\ngot:\n%s",
-			path, len(got), len(want), got)
+			path := filepath.Join("testdata", tc.file)
+			if *update {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("rewrote %s (%d bytes)", path, len(got))
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("read golden: %v (run with -update to create it)", err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("sweep JSON drifted from %s (%d vs %d bytes).\n"+
+					"If the change to the public schema is intentional, regenerate with -update and call it out in review.\ngot:\n%s",
+					path, len(got), len(want), got)
+			}
+		})
 	}
 }
 

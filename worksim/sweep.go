@@ -49,12 +49,13 @@ type (
 // SweepOptions.Duration is zero.
 const DefaultSweepDuration = campaign.DefaultSweepDuration
 
-// Sweep fans the scenario × profile × seed cross-product out over a bounded
-// worker pool and aggregates per-seed metrics into mean / stddev / 95%-CI
-// summaries. For a fixed seed set the result (and its JSON export) is
-// byte-identical regardless of SweepOptions.Parallel.
+// Sweep fans the scenario × profile × seed cross-product out as one queue
+// of runs over one bounded worker pool (SweepOptions.Parallel wide, 0 =
+// GOMAXPROCS) and aggregates each cell's per-seed metrics into mean /
+// stddev / 95%-CI summaries. For a fixed seed set the result (and its JSON
+// export) is byte-identical regardless of SweepOptions.Parallel.
 //
-// The context cancels the sweep end to end: workers stop claiming seeds,
+// The context cancels the sweep end to end: workers stop claiming runs,
 // in-flight simulation runs stop between control ticks, and Sweep returns
 // ctx.Err() once the pool has drained — no goroutines outlive the call. A
 // context that never fires yields byte-identical output to
