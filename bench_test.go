@@ -24,6 +24,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/pki"
 	"repro/internal/rng"
+	"repro/internal/scenario"
 	"repro/internal/secureboot"
 	"repro/internal/sotif"
 	"repro/internal/worksite"
@@ -152,12 +153,6 @@ func BenchmarkE10_SOTIFExploration(b *testing.B) {
 	benchExperiment(b, "e10", "moved_to_safe")
 }
 
-// BenchmarkE9a_RekeySweep — ablation: rekey interval vs throughput
-// (wall-clock table; no campaign metrics).
-func BenchmarkE9a_RekeySweep(b *testing.B) {
-	benchExperiment(b, "e9a")
-}
-
 // BenchmarkSim runs the tracked benchmark catalog (worksim/bench) — the same
 // named micro/macro benchmarks cmd/bench persists to BENCH_<date>.json, so CI
 // exercises exactly what the perf-tracking tool records.
@@ -219,23 +214,29 @@ func BenchmarkHandshake(b *testing.B) {
 	}
 }
 
-// BenchmarkSealOpen256 measures one sealed+opened 256-byte record.
+// BenchmarkSealOpen256 measures one sealed+opened 256-byte record per rekey
+// interval (0 is securechan.DefaultRekeyInterval): the security/throughput
+// ablation of the secure channel.
 func BenchmarkSealOpen256(b *testing.B) {
-	init, resp, err := experiments.NewChannelPair(benchSeed, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := make([]byte, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec, err := init.Seal(payload)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := resp.Open(rec); err != nil {
-			b.Fatal(err)
-		}
+	for _, interval := range []uint64{0, 16, 64, 256, 1024, 4096} {
+		b.Run(fmt.Sprintf("rekey=%d", interval), func(b *testing.B) {
+			init, resp, err := experiments.NewChannelPair(benchSeed, interval)
+			if err != nil {
+				b.Fatal(err)
+			}
+			payload := make([]byte, 256)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec, err := init.Seal(payload)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := resp.Open(rec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -272,8 +273,7 @@ func BenchmarkVerifiedBoot(b *testing.B) {
 // worksite (scheduler, radio, sensors, fusion, safety, secure channels).
 func BenchmarkWorksiteMinute(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := worksite.DefaultConfig(benchSeed)
-		cfg.Profile = worksite.Secured()
+		cfg := scenario.Baseline().WithProfile(worksite.Secured()).Config(benchSeed)
 		sess, err := worksite.NewSession(cfg)
 		if err != nil {
 			b.Fatal(err)

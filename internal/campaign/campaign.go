@@ -9,9 +9,8 @@
 // function of its Params — no shared mutable state, no wall-clock
 // measurements in Metrics — so concurrent runs at different seeds are
 // independent and the aggregate over a fixed seed set is byte-reproducible.
-// Wall-clock throughput numbers (E9/E9a) stay in their tables and in the
-// testing.B micro-benchmarks; they are deliberately not exported as campaign
-// metrics.
+// Wall-clock throughput is measured only by the testing.B micro-benchmarks;
+// no registered experiment reports it.
 package campaign
 
 import (

@@ -112,7 +112,7 @@ func TestCampaignWorksiteParallel(t *testing.T) {
 // TestRegistryComplete pins the experiment inventory: every paper experiment
 // is discoverable by ID.
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"e1", "e2", "e2a", "e3", "e4", "e5", "e5a", "e5b", "e6", "e7", "e8", "e9", "e9a", "e10"}
+	want := []string{"e1", "e2", "e2a", "e3", "e4", "e5", "e5a", "e5b", "e6", "e7", "e8", "e9", "e10"}
 	ids := campaign.Default.IDs()
 	if len(ids) != len(want) {
 		t.Fatalf("registered %d experiments (%v), want %d", len(ids), ids, len(want))

@@ -1,11 +1,11 @@
 // Package core is the facade of the reproduction: the holistic
 // certification-pathway pipeline the paper sketches. One call runs the
 // combined risk assessment (TARA + IEC 62443 + ISO 13849 + IEC TS 63074
-// interplay), executes an attack campaign against the simulated worksite to
-// generate operational security evidence, boots the measured-boot substrate,
-// probes simulation validity and SOTIF residual risk, assembles the modular
-// security assurance case, and checks CE conformity against the standards
-// registry.
+// interplay), runs the scenario catalog's multi-attack scenario against the
+// simulated worksite to generate operational security evidence, boots the
+// measured-boot substrate, probes simulation validity and SOTIF residual
+// risk, assembles the modular security assurance case, and checks CE
+// conformity against the standards registry.
 //
 // Running the pipeline with Secured=false evaluates the unsecured baseline
 // pathway (the pre-regulation state of the art); with Secured=true it
@@ -20,9 +20,8 @@ import (
 	"time"
 
 	"repro/internal/assurance"
-	"repro/internal/attack"
-	"repro/internal/geo"
 	"repro/internal/risk"
+	"repro/internal/scenario"
 	"repro/internal/secureboot"
 	"repro/internal/simval"
 	"repro/internal/sotif"
@@ -37,8 +36,8 @@ type PathwayOptions struct {
 	// Secured selects the full defence stack (true) or the unsecured
 	// baseline (false).
 	Secured bool
-	// EvidenceRun is the virtual duration of the attack-campaign evidence
-	// run. Zero means 15 minutes.
+	// EvidenceRun is the virtual duration of the multi-attack evidence run.
+	// Zero means 15 minutes.
 	EvidenceRun time.Duration
 	// SOTIFTrials is the number of detection trials per SOTIF scenario.
 	// Zero means 60.
@@ -151,36 +150,19 @@ func RunPathway(ctx context.Context, opts PathwayOptions) (*PathwayResult, error
 	return res, nil
 }
 
-// runEvidenceCampaign runs the worksite under a representative multi-attack
-// campaign and returns the KPI report — the operational evidence the
-// assurance case binds.
+// runEvidenceCampaign runs the catalog's multi-attack scenario (phased
+// de-auth flood, command injection, GNSS spoofing and wideband jamming) on
+// the (un)secured worksite and returns the KPI report — the operational
+// evidence the assurance case binds.
 func runEvidenceCampaign(ctx context.Context, opts PathwayOptions) (worksite.Report, error) {
-	cfg := worksite.DefaultConfig(opts.Seed)
-	if opts.Secured {
-		cfg.Profile = worksite.Secured()
-	}
-	sess, err := worksite.NewSession(cfg)
+	spec, err := scenario.Get("multi-attack")
 	if err != nil {
 		return worksite.Report{}, err
 	}
-	site := sess.Site()
-	d := opts.EvidenceRun
-	c := attack.NewCampaign()
-	// Phases at fractions of the run so shorter evidence runs still see all
-	// attack classes.
-	frac := func(num, den int64) time.Duration { return d * time.Duration(num) / time.Duration(den) }
-	c.Add(frac(1, 10), frac(3, 10), attack.NewDeauthFlood(
-		site.AttackerAdapter(), worksite.NodeForwarder, worksite.NodeCoordinator, 200*time.Millisecond))
-	c.Add(frac(3, 10), frac(5, 10), attack.NewCommandInjection(
-		site.AttackerAdapter(), worksite.NodeCoordinator, worksite.NodeForwarder,
-		func() []byte {
-			return []byte(`{"type":"command","from":"coordinator","command":"clear-stops"}`)
-		}, time.Second))
-	c.Add(frac(5, 10), frac(7, 10), attack.NewGNSSSpoof(site.ForwarderGNSS(), geo.V(60, 40)))
-	mid := geo.V(0.5*site.Grid().Width(), 0.5*site.Grid().Height())
-	c.Add(frac(7, 10), frac(9, 10), attack.NewJamming(site.Medium(), "jam-ev", mid, 1, 38, true))
-	c.Schedule(site.Scheduler())
-	return sess.Run(ctx, d)
+	if opts.Secured {
+		spec = spec.WithProfile(worksite.Secured())
+	}
+	return scenario.Run(ctx, spec, opts.Seed, opts.EvidenceRun)
 }
 
 // runBootEvidence exercises the measured-boot substrate: a clean boot with

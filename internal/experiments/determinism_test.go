@@ -4,41 +4,47 @@ package experiments
 // "identical adversary schedule" comparison methodology of E5) depends on
 // every experiment being a pure function of its seed. Running the same
 // experiment twice with the same seed must produce byte-identical rendered
-// tables — any drift here (map-iteration order leaking into a table,
-// wall-clock values in a rendered cell, shared mutable state) breaks the
-// Monte-Carlo aggregation guarantees.
+// tables and figures — any drift here (map-iteration order leaking into a
+// table, wall-clock values in a rendered cell, shared mutable state) breaks
+// the Monte-Carlo aggregation guarantees.
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/campaign"
 )
 
-func TestE1DeterministicRendering(t *testing.T) {
-	run := func() string {
-		res, err := E1WorksiteBaseline(context.Background(), 42, 10*time.Minute)
-		if err != nil {
-			t.Fatalf("E1: %v", err)
-		}
-		return res.Table.Render()
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("E1 table not byte-identical across same-seed runs:\n--- first ---\n%s\n--- second ---\n%s", a, b)
-	}
-}
-
-func TestE5DeterministicRendering(t *testing.T) {
-	run := func() string {
-		res, err := E5AttackMatrix(context.Background(), 42, 6*time.Minute)
-		if err != nil {
-			t.Fatalf("E5: %v", err)
-		}
-		return res.Table.Render()
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("E5 table not byte-identical across same-seed runs:\n--- first ---\n%s\n--- second ---\n%s", a, b)
+// TestRegistryDeterministicRendering runs every registered experiment twice
+// through its registered Run at its Defaults with seed 42 and requires
+// byte-identical rendered tables and figures.
+func TestRegistryDeterministicRendering(t *testing.T) {
+	for _, id := range campaign.Default.IDs() {
+		exp, _ := campaign.Lookup(id)
+		t.Run(id, func(t *testing.T) {
+			render := func() string {
+				p := exp.Defaults
+				p.Seed = 42
+				out, err := exp.Run(context.Background(), p)
+				if err != nil {
+					t.Fatalf("%s: %v", id, err)
+				}
+				var sb strings.Builder
+				for _, tab := range out.Tables {
+					sb.WriteString(tab.Render())
+				}
+				for _, fig := range out.Figures {
+					sb.WriteString(fig.Render())
+				}
+				return sb.String()
+			}
+			a, b := render(), render()
+			if a != b {
+				t.Fatalf("%s artifacts not byte-identical across same-seed runs:\n--- first ---\n%s\n--- second ---\n%s", id, a, b)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,6 @@
-// Package experiments implements the E1–E9 experiment runners of
-// EXPERIMENTS.md — one per table/figure of the paper (and per quantified
-// claim, where the paper's artifact is descriptive). The benchmark harness
+// Package experiments implements the E1–E10 experiment runners and their
+// ablations — one per table/figure of the paper (and per quantified claim,
+// where the paper's artifact is descriptive). The benchmark harness
 // (bench_test.go), the command-line tools and the examples all call these
 // runners, so every reported number has exactly one producing code path.
 package experiments

@@ -200,27 +200,14 @@ func TestE10SOTIFExploration(t *testing.T) {
 }
 
 func TestE9SecureSubstrate(t *testing.T) {
-	res, err := E9SecureSubstrate(5, 2000)
+	res, err := E9SecureSubstrate(5)
 	if err != nil {
 		t.Fatalf("E9: %v", err)
 	}
 	if !res.HandshakeOK {
 		t.Fatal("handshake failed")
 	}
-	if res.RecordsPerSec <= 0 {
-		t.Fatal("no record throughput measured")
-	}
 	if res.TamperTable.Rows() != 5 {
 		t.Fatalf("tamper sweep rows = %d, want 5", res.TamperTable.Rows())
-	}
-}
-
-func TestE9aRekeySweep(t *testing.T) {
-	tab, err := E9aRekeySweep(5)
-	if err != nil {
-		t.Fatalf("E9a: %v", err)
-	}
-	if tab.Rows() != 5 {
-		t.Fatalf("rows = %d", tab.Rows())
 	}
 }

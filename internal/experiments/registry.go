@@ -14,9 +14,10 @@ import (
 // This file registers every experiment in the campaign registry so the
 // benchmark harness, the campaign CLI and future tooling discover them by ID
 // instead of hard-coding loose function calls. Each registration carries the
-// metric extraction for its result type; campaign metrics are deterministic
-// functions of (seed, params) — wall-clock rates (E9 record throughput, E9a
-// rekey sweep) stay in their tables and in the testing.B micro-benchmarks.
+// metric extraction for its result type. Every table, figure and metric is a
+// deterministic function of (seed, params): wall-clock costs such as record
+// throughput per rekey interval are measured only by the testing.B
+// benchmarks (BenchmarkSealOpen256), never by an experiment.
 
 func init() {
 	campaign.Register(campaign.Experiment{
@@ -259,32 +260,15 @@ func init() {
 		Section:     "IV-A/B",
 		Description: "secure-substrate handshake and boot-chain tamper sweep",
 		Run: func(ctx context.Context, p campaign.Params) (campaign.Outcome, error) {
-			res, err := E9SecureSubstrate(p.Seed, 0)
+			res, err := E9SecureSubstrate(p.Seed)
 			if err != nil {
 				return campaign.Outcome{}, err
 			}
-			// No record loop (records = 0): RecordsPerSec is wall-clock and
-			// deliberately not a campaign metric; throughput lives in
-			// BenchmarkSealOpen256.
 			m := map[string]float64{
 				"handshake_ok":     b2f(res.HandshakeOK),
 				"tampers_detected": float64(res.TamperTable.Rows() - 1),
 			}
 			return campaign.Outcome{Tables: tables(res.TamperTable), Metrics: m}, nil
-		},
-	})
-
-	campaign.Register(campaign.Experiment{
-		ID:          "e9a",
-		Section:     "IV-A ablation",
-		Description: "rekey interval vs record throughput (wall-clock; table only)",
-		Run: func(ctx context.Context, p campaign.Params) (campaign.Outcome, error) {
-			t, err := E9aRekeySweep(p.Seed)
-			if err != nil {
-				return campaign.Outcome{}, err
-			}
-			// Throughput is wall-clock: no deterministic metrics to aggregate.
-			return campaign.Outcome{Tables: tables(t)}, nil
 		},
 	})
 

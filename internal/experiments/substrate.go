@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/core"
@@ -157,44 +156,22 @@ func E8SimValidity(seed int64) (E8Result, error) {
 	return res, nil
 }
 
-// E9Result is the secure-substrate experiment: handshake and record costs
-// plus boot-chain tamper detection coverage.
+// E9Result is the secure-substrate experiment: handshake outcome plus
+// boot-chain tamper detection coverage.
 type E9Result struct {
-	HandshakeOK   bool
-	RecordsPerSec float64
-	TamperTable   *report.Table
+	HandshakeOK bool
+	TamperTable *report.Table
 }
 
-// E9SecureSubstrate performs one handshake, optionally measures a wall-clock
-// record loop (records > 0; precise costs come from the testing.B
-// benchmarks), and sweeps boot-chain tamper scenarios. The campaign path
-// passes records = 0: it keeps only the deterministic outcomes, so paying
-// for a throughput measurement it would discard is pointless.
-func E9SecureSubstrate(seed int64, records int) (E9Result, error) {
+// E9SecureSubstrate performs one handshake and sweeps boot-chain tamper
+// scenarios.
+func E9SecureSubstrate(seed int64) (E9Result, error) {
 	var res E9Result
 	init, resp, err := NewChannelPair(seed, 0)
 	if err != nil {
 		return E9Result{}, fmt.Errorf("e9: %w", err)
 	}
 	res.HandshakeOK = init.Established() && resp.Established()
-
-	if records > 0 {
-		payload := make([]byte, 256)
-		start := time.Now() //worksim:allow host-throughput benchmark: RecordsPerSec measures wall time by design and the campaign path skips it (records = 0)
-		for i := 0; i < records; i++ {
-			rec, err := init.Seal(payload)
-			if err != nil {
-				return E9Result{}, fmt.Errorf("e9 seal: %w", err)
-			}
-			if _, err := resp.Open(rec); err != nil {
-				return E9Result{}, fmt.Errorf("e9 open: %w", err)
-			}
-		}
-		el := time.Since(start).Seconds() //worksim:allow host-throughput benchmark: wall-clock elapsed is the measurement itself
-		if el > 0 {
-			res.RecordsPerSec = float64(records) / el
-		}
-	}
 
 	res.TamperTable, err = bootTamperSweep(seed)
 	if err != nil {
@@ -360,36 +337,4 @@ func NewChannelPair(seed int64, rekeyInterval uint64) (*securechan.Channel, *sec
 		return nil, nil, err
 	}
 	return init, resp, nil
-}
-
-// E9aRekeySweep measures record throughput across rekey intervals (the
-// security/throughput ablation).
-func E9aRekeySweep(seed int64) (*report.Table, error) {
-	t := report.NewTable("E9a: rekey interval vs record throughput (256 B payloads)",
-		"rekey_interval", "records_per_sec")
-	for _, interval := range []uint64{16, 64, 256, 1024, 4096} {
-		init, resp, err := NewChannelPair(seed, interval)
-		if err != nil {
-			return nil, fmt.Errorf("e9a: %w", err)
-		}
-		payload := make([]byte, 256)
-		const records = 4000
-		start := time.Now() //worksim:allow host-throughput benchmark: the E9a ablation measures wall-clock records/sec by design
-		for i := 0; i < records; i++ {
-			rec, err := init.Seal(payload)
-			if err != nil {
-				return nil, fmt.Errorf("e9a seal: %w", err)
-			}
-			if _, err := resp.Open(rec); err != nil {
-				return nil, fmt.Errorf("e9a open: %w", err)
-			}
-		}
-		el := time.Since(start).Seconds() //worksim:allow host-throughput benchmark: wall-clock elapsed is the measurement itself
-		rate := math.Inf(1)
-		if el > 0 {
-			rate = records / el
-		}
-		t.AddRow(interval, rate)
-	}
-	return t, nil
 }

@@ -16,37 +16,42 @@ func TestDetectZeroAllocs(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless under -race")
 	}
 	engine := DefaultEngine()
-	const period = 500 * time.Millisecond
+	const (
+		period = 500 * time.Millisecond
+		ticks  = 200
+	)
 	tickNo := 0
-	tick := func() {
-		at := time.Duration(tickNo) * period
-		tickNo++
-		engine.Ingest(Event{Kind: EventLinkSample, At: at, Source: "harvester-1", OK: true, Value: 1})
-		engine.Ingest(Event{Kind: EventLinkSample, At: at, Source: "forwarder-1", OK: true, Value: 1})
-		engine.Ingest(Event{Kind: EventGNSSVerdict, At: at, Source: "harvester-1", OK: true})
-		// One de-auth every five ticks (2.5s) keeps four events inside the
-		// 10s flood window — exercising the window trim without crossing the
-		// five-event alert threshold.
-		if tickNo%5 == 0 {
-			engine.Ingest(Event{Kind: EventDeauth, At: at, Source: "ap-1", OK: true})
+	window := func() {
+		for i := 0; i < ticks; i++ {
+			at := time.Duration(tickNo) * period
+			tickNo++
+			engine.Ingest(Event{Kind: EventLinkSample, At: at, Source: "harvester-1", OK: true, Value: 1})
+			engine.Ingest(Event{Kind: EventLinkSample, At: at, Source: "forwarder-1", OK: true, Value: 1})
+			engine.Ingest(Event{Kind: EventGNSSVerdict, At: at, Source: "harvester-1", OK: true})
+			// One de-auth every six ticks (3s) keeps at most four events inside
+			// the 10s flood window — exercising the window trim without reaching
+			// the five-event alert threshold.
+			if tickNo%6 == 0 {
+				engine.Ingest(Event{Kind: EventDeauth, At: at, Source: "ap-1", OK: true})
+			}
 		}
 	}
 
-	// Warm per-source detector state (EWMA maps, de-auth window) to
+	// AllocsPerRun truncates its mean to an integer, so the whole window is
+	// one run and the count is exact. Its warm-up call runs a first window,
+	// which brings per-source detector state (EWMA maps, de-auth window) to
 	// steady-state capacity.
-	for i := 0; i < 64; i++ {
-		tick()
+	if n := testing.AllocsPerRun(1, window); n != 0 {
+		t.Fatalf("steady-state detection allocates: %v allocs over %d ticks, want 0", n, ticks)
 	}
-	avg := testing.AllocsPerRun(200, tick)
-	if avg != 0 {
-		t.Fatalf("steady-state detection allocates: %v allocs/op, want 0", avg)
+	if n := engine.Total(); n != 0 {
+		t.Fatalf("benign telemetry raised %d alerts (%v), want none", n, engine.Alerts())
 	}
 }
 
-// TestDeauthWindowZeroAllocs measures the de-auth sliding window one event
-// per run. TestDetectZeroAllocs feeds a de-auth only every fifth tick, and
-// AllocsPerRun truncates its mean to an integer, so a window that grew on
-// every event would still read 0 there.
+// TestDeauthWindowZeroAllocs measures the de-auth sliding window on its own,
+// one event per call, so a window that grew on every event fails here even
+// though TestDetectZeroAllocs feeds it only every sixth tick.
 func TestDeauthWindowZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless under -race")
@@ -61,10 +66,14 @@ func TestDeauthWindowZeroAllocs(t *testing.T) {
 		}
 		n++
 	}
-	for i := 0; i < 8; i++ {
-		deauth()
-	}
-	if avg := testing.AllocsPerRun(200, deauth); avg != 0 {
-		t.Fatalf("de-auth window allocates: %v allocs/event, want 0", avg)
+	const events = 200
+	// One run over all events, so the count is exact (AllocsPerRun truncates
+	// its mean); the warm-up call fills the window to steady-state capacity.
+	if n := testing.AllocsPerRun(1, func() {
+		for i := 0; i < events; i++ {
+			deauth()
+		}
+	}); n != 0 {
+		t.Fatalf("de-auth window allocates: %v allocs over %d events, want 0", n, events)
 	}
 }

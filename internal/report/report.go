@@ -1,7 +1,7 @@
 // Package report renders experiment results as aligned ASCII tables and CSV
 // series. The benchmark harness and the command-line tools share these
-// renderers so every table and figure of EXPERIMENTS.md is regenerated by
-// code, not transcribed by hand.
+// renderers so every table and figure of the E1–E10 experiments is
+// regenerated by code, not transcribed by hand.
 package report
 
 import (

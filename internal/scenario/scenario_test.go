@@ -239,17 +239,6 @@ func TestProfiles(t *testing.T) {
 	}
 }
 
-// TestBaselineMatchesWorksiteDefault: the baseline spec compiles to exactly
-// worksite.DefaultConfig, so spec-built experiments reproduce the seed
-// harness's numbers.
-func TestBaselineMatchesWorksiteDefault(t *testing.T) {
-	got := Baseline().Config(99)
-	want := worksite.DefaultConfig(99)
-	if got != want {
-		t.Fatalf("Baseline().Config drifted from worksite.DefaultConfig:\ngot  %+v\nwant %+v", got, want)
-	}
-}
-
 // TestParseSpecHardening is the table-driven error-path suite over the
 // hardened Parse: declared horizons must be positive, attack schedule
 // entries must be unique per class, and every rejection is a typed

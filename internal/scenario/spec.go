@@ -139,7 +139,6 @@ type Spec struct {
 
 // Baseline returns the E1 baseline scenario: a 400x400 m site, moderate
 // forest, three workers, clear weather, drone on, no defences, no attacks.
-// It mirrors worksite.DefaultConfig.
 func Baseline() Spec {
 	return Spec{
 		Name:        "baseline",

@@ -254,13 +254,18 @@ func TestMarshalTickAllocs(t *testing.T) {
 		BelievedPos: geo.V(-123.45678901234, 98765.43210987), NavErrM: 1.2345678901234567e-7,
 		MinWorkerDistM: 12345.678901234567, LogsDelivered: 1 << 40, Collisions: 1 << 40,
 		UnsafeEpisodes: 1 << 40, Alerts: 1 << 40}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := Marshal(e); err != nil {
-			t.Fatal(err)
+	// AllocsPerRun truncates its mean to an integer, so all calls are one run
+	// and the total must equal the call count exactly.
+	const calls = 100
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < calls; i++ {
+			if _, err := Marshal(e); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
-	if allocs != 1 {
-		t.Fatalf("Marshal(tick) = %v allocs/op, want exactly 1", allocs)
+	if allocs != calls {
+		t.Fatalf("%d Marshal(tick) calls made %v allocs, want exactly %d", calls, allocs, calls)
 	}
 }
 

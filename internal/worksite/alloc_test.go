@@ -53,13 +53,15 @@ func assertZeroAllocTicks(t *testing.T, cfg Config) {
 		prev = tick
 	}
 
-	// Find the first fully quiet window after warm-up. AllocsPerRun performs
-	// one extra warm-up call, and we pad one tick on each side so a
-	// transition adjacent to the window cannot bleed into it.
+	// Find the first fully quiet span after warm-up. It holds two windows of
+	// measureTicks — AllocsPerRun's warm-up call and the measured call — and
+	// we pad one tick on each side so a transition adjacent to the span
+	// cannot bleed into it.
+	const span = 2*measureTicks + 2
 	start := -1
-	for s := warmTicks; s+measureTicks+2 <= scoutTicks; s++ {
+	for s := warmTicks; s+span <= scoutTicks; s++ {
 		ok := true
-		for i := s; i < s+measureTicks+2; i++ {
+		for i := s; i < s+span; i++ {
 			if !quiet[i] {
 				ok = false
 				break
@@ -71,7 +73,7 @@ func assertZeroAllocTicks(t *testing.T, cfg Config) {
 		}
 	}
 	if start < 0 {
-		t.Fatalf("no transition-free window of %d ticks found in %d scouted ticks", measureTicks+2, scoutTicks)
+		t.Fatalf("no transition-free span of %d ticks found in %d scouted ticks", span, scoutTicks)
 	}
 
 	// Measurement pass on a fresh, byte-identical session.
@@ -84,14 +86,18 @@ func assertZeroAllocTicks(t *testing.T, cfg Config) {
 			t.Fatalf("session ended at tick %d", i)
 		}
 	}
-	avg := testing.AllocsPerRun(measureTicks, func() {
-		if _, ok := se.Step(); !ok {
-			t.Fatal("session ended mid-measurement")
+	// AllocsPerRun truncates its mean to an integer, so the whole window is
+	// one run and the count is exact.
+	n := testing.AllocsPerRun(1, func() {
+		for i := 0; i < measureTicks; i++ {
+			if _, ok := se.Step(); !ok {
+				t.Fatal("session ended mid-measurement")
+			}
 		}
 	})
-	if avg != 0 {
-		t.Fatalf("steady-state control tick allocates: %v allocs/op (ticks %d..%d), want 0",
-			avg, start, start+measureTicks)
+	if n != 0 {
+		t.Fatalf("steady-state control ticks allocate: %v allocs over ticks %d..%d, want 0",
+			n, start+measureTicks, start+2*measureTicks-1)
 	}
 }
 

@@ -10,6 +10,25 @@ import (
 	"repro/internal/radio"
 )
 
+// DefaultConfig returns the E1 baseline scenario: a 400x400 m site, moderate
+// forest, three workers, clear weather, drone on, secured stack off.
+func DefaultConfig(seed int64) Config {
+	return Config{
+		Seed:         seed,
+		Cols:         100,
+		Rows:         100,
+		CellSizeM:    4,
+		TreeDensity:  0.22,
+		RockDensity:  0.03,
+		Workers:      3,
+		ConfirmHits:  2,
+		DroneEnabled: true,
+		LoadTime:     45 * time.Second,
+		UnloadTime:   30 * time.Second,
+		TickPeriod:   500 * time.Millisecond,
+	}
+}
+
 func runSite(t *testing.T, cfg Config, d time.Duration, arm func(*Site)) Report {
 	t.Helper()
 	s, err := New(cfg)

@@ -76,45 +76,59 @@ func TestSweepJSONGolden(t *testing.T) {
 }
 
 // TestPathwayJSONGolden locks the paper's headline output — risk registers,
-// operational evidence, assurance case evaluation and CE verdict — for seeds
-// 1 and 42 under both profiles with default options, against
-// testdata/pathway.golden.json. Regenerate with
+// operational evidence, assurance case evaluation and CE verdict — under both
+// profiles. The default case runs seeds 1 and 42 with default options
+// against testdata/pathway.golden.json; the evidence10m case runs seed 42 at
+// the 10-minute evidence run that E7, sac-gen and ce-check default to.
+// Regenerate with
 //
 //	go test ./worksim -run TestPathwayJSONGolden -update
 //
 // and justify the diff in review.
 func TestPathwayJSONGolden(t *testing.T) {
-	var results []*pathway.Result
-	for _, seed := range []int64{1, 42} {
-		for _, secured := range []bool{false, true} {
-			res, err := pathway.Run(context.Background(), pathway.Options{Seed: seed, Secured: secured})
-			if err != nil {
-				t.Fatalf("seed %d secured=%v: %v", seed, secured, err)
+	for _, tc := range []struct {
+		name, file  string
+		seeds       []int64
+		evidenceRun time.Duration
+	}{
+		{"default", "pathway.golden.json", []int64{1, 42}, 0},
+		{"evidence10m", "pathway.evidence10m.golden.json", []int64{42}, 10 * time.Minute},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var results []*pathway.Result
+			for _, seed := range tc.seeds {
+				for _, secured := range []bool{false, true} {
+					res, err := pathway.Run(context.Background(), pathway.Options{
+						Seed: seed, Secured: secured, EvidenceRun: tc.evidenceRun})
+					if err != nil {
+						t.Fatalf("seed %d secured=%v: %v", seed, secured, err)
+					}
+					results = append(results, res)
+				}
 			}
-			results = append(results, res)
-		}
-	}
-	got, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, '\n')
+			got, err := json.MarshalIndent(results, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, '\n')
 
-	path := filepath.Join("testdata", "pathway.golden.json")
-	if *update {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", path, len(got))
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden: %v (run with -update to create it)", err)
-	}
-	if string(got) != string(want) {
-		t.Fatalf("pathway JSON drifted from %s (%d vs %d bytes).\n"+
-			"If the change to the public schema is intentional, regenerate with -update and call it out in review.\ngot:\n%s",
-			path, len(got), len(want), got)
+			path := filepath.Join("testdata", tc.file)
+			if *update {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("rewrote %s (%d bytes)", path, len(got))
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("read golden: %v (run with -update to create it)", err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("pathway JSON drifted from %s (%d vs %d bytes).\n"+
+					"If the change to the public schema is intentional, regenerate with -update and call it out in review.\ngot:\n%s",
+					path, len(got), len(want), got)
+			}
+		})
 	}
 }

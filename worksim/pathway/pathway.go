@@ -1,10 +1,10 @@
 // Package pathway is the public surface of the paper's certification
 // pathway: one call runs the combined safety–security risk assessment
 // (ISO/SAE 21434 TARA, IEC 62443 security levels, IEC TS 63074 interplay),
-// generates operational evidence from an attack campaign against the
-// simulated worksite, probes platform integrity and simulation validity,
-// assembles the modular security assurance case, and checks CE conformity
-// against the standards registry.
+// generates operational evidence from the scenario catalog's multi-attack
+// run on the simulated worksite, probes platform integrity and simulation
+// validity, assembles the modular security assurance case, and checks CE
+// conformity against the standards registry.
 //
 // The risk-model helpers (BuildUseCase, AchievedSL, AssessArchitecture,
 // SummarizeInterplay) expose the methodology's building blocks for consumers
