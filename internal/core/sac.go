@@ -132,14 +132,6 @@ func bindEvidence(c *assurance.Case, res *PathwayResult) error {
 			maxResidual = r.RiskValue
 		}
 	}
-	interplayOK := true
-	for _, r := range res.InterplayAfter {
-		if !r.MeetsRequired {
-			interplayOK = false
-		}
-	}
-	_ = interplayOK
-
 	binds := []struct {
 		sol string
 		ev  assurance.Evidence

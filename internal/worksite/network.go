@@ -1,6 +1,7 @@
 package worksite
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -387,31 +388,68 @@ func (s *Site) associateLinks() error {
 	return s.sched.Run(50 * time.Millisecond)
 }
 
-// sendBufSize is the initial capacity of a site's wire-message buffer. It
-// holds the largest message most catalog sites ever send (a detections
-// message of under 700 bytes), so appendWireMsg starts each site with one
-// allocation instead of growing the buffer message by message.
+// sendBufSize is the initial capacity of a site's wire-message buffer and of
+// each link's last-sent copy. It holds the largest message most catalog
+// sites ever send (a detections message of under 700 bytes), so neither
+// grows message by message.
 const sendBufSize = 1024
+
+// sentSlot holds the last message a site sent on one directed link that a
+// receiver may take without decoding: the plaintext appendWireMsg produced
+// and canon of the message it encoded. Both live in storage the slot owns
+// and reuses, because the sender's detections are tick scratch.
+type sentSlot struct {
+	valid bool
+	plain []byte
+	dets  []sensors.Detection
+	msg   wireMsg
+}
+
+//worksim:hotpath
+func (sl *sentSlot) fill(plain []byte, m *wireMsg) {
+	sl.plain = append(sl.plain[:0], plain...)
+	sl.dets = append(sl.dets[:0], m.Detections...)
+	sl.msg = *m
+	sl.msg.Detections = sl.dets
+	sl.msg = canon(sl.msg)
+	sl.valid = true
+}
+
+// lastSentOn returns the from -> to link's slot, creating it on first use.
+func (s *Site) lastSentOn(from, to radio.NodeID) *sentSlot {
+	k := chanKey{from, to}
+	sl := s.lastSent[k]
+	if sl == nil {
+		sl = &sentSlot{plain: make([]byte, 0, sendBufSize)}
+		s.lastSent[k] = sl
+	}
+	return sl
+}
 
 // send transmits an application message from -> to, sealing it when the
 // secured profile is active. Send errors are expected under attack (link
 // torn down) and are absorbed as lost traffic.
 //
 // Encoding appends json.Marshal's bytes into the storage of the site's
-// reused buffer with appendWireMsg. The few messages it does not cover go
-// through the site's encoder instead, whose output is the same bytes plus a
-// trailing newline (trimmed below); one it rejects (a NaN or infinite
-// number) is dropped. The adapter copies the payload into its own frame
-// storage before Transmit returns, so the buffer is free for the next
-// message immediately.
+// reused buffer with appendWireMsg, and records the plaintext and canon(msg)
+// in the link's last-sent slot for the receiver. The few messages
+// appendWireMsg does not cover go through the site's encoder instead, whose
+// output is the same bytes plus a trailing newline (trimmed below); one it
+// rejects (a NaN or infinite number) is dropped. Those clear the slot, since
+// canon describes only appendWireMsg's round trip. The adapter copies the
+// payload into its own frame storage before Transmit returns, so the buffer
+// is free for the next message immediately.
 //
 //worksim:hotpath
 func (s *Site) send(from, to radio.NodeID, msg wireMsg) {
 	s.sendBuf.Reset()
+	slot := s.lastSentOn(from, to)
 	payload, ok := appendWireMsg(s.sendBuf.AvailableBuffer(), &msg)
 	if ok {
 		s.sendBuf.Write(payload) // keeps the storage if appending grew it
+		slot.fill(payload, &msg)
 	} else {
+		slot.valid = false
 		s.sendScratch = msg
 		if err := s.sendEnc.Encode(&s.sendScratch); err != nil {
 			return
@@ -445,6 +483,12 @@ func (s *Site) send(from, to radio.NodeID, msg wireMsg) {
 // handleAppPayload authenticates (when secured) and dispatches an inbound
 // application message at the receiving node.
 //
+// A plaintext byte-equal to the last message sent on the from -> local link
+// is dispatched from that link's slot: decoding is a pure function of the
+// bytes, and the encoder tests prove encoding/json would decode them to
+// exactly canon(msg). Any other payload (an injected, replayed, tampered or
+// out-of-order frame) is decoded by encoding/json into a fresh message.
+//
 //worksim:hotpath
 func (s *Site) handleAppPayload(local, from radio.NodeID, payload []byte) {
 	if s.cfg.Profile.SecureChannels {
@@ -471,33 +515,25 @@ func (s *Site) handleAppPayload(local, from radio.NodeID, payload []byte) {
 		}
 		payload = plain
 	}
-	// Parse into the reused receive scratch: the fast path covers everything
-	// the encoder above emits; anything else (hostile or malformed input)
-	// falls back to encoding/json for the authoritative verdict. The
-	// fallback decodes into a fresh message — the stdlib merges into
-	// within-capacity slice elements without zeroing them, so reusing the
-	// scratch there would leak fields of an earlier message into this one.
-	msg := &s.recvMsg
-	*msg = wireMsg{Detections: msg.Detections[:0]}
-	if !fastParseWireMsg(payload, msg, s.intern) {
-		var fallback wireMsg
-		if err := json.Unmarshal(payload, &fallback); err != nil {
-			return
-		}
-		s.dispatch(local, from, fallback)
+	if sl := s.lastSent[chanKey{from, local}]; sl != nil && sl.valid && bytes.Equal(payload, sl.plain) {
+		s.dispatch(local, sl.msg)
 		return
 	}
-	s.dispatch(local, from, *msg)
+	var msg wireMsg
+	if err := json.Unmarshal(payload, &msg); err != nil {
+		return
+	}
+	s.dispatch(local, msg)
 }
 
 //worksim:hotpath
-func (s *Site) dispatch(local, from radio.NodeID, msg wireMsg) {
+func (s *Site) dispatch(local radio.NodeID, msg wireMsg) {
 	switch {
 	case local == NodeForwarder && msg.Type == "heartbeat":
 		s.watchdog.Beat(s.sched.Now())
 	case local == NodeForwarder && msg.Type == "detections":
-		// Copy out of the receive scratch: droneDets must stay valid across
-		// ticks while the scratch is reused on the next message.
+		// Copy out: a slot hit's detections are the link's last-sent
+		// storage, which the drone's next message overwrites.
 		s.droneDets = append(s.droneDets[:0], msg.Detections...)
 		s.droneDetsAt = s.sched.Now()
 	case local == NodeForwarder && msg.Type == "command":
@@ -512,7 +548,6 @@ func (s *Site) dispatch(local, from radio.NodeID, msg wireMsg) {
 			Detail: msg.GNSSWhy,
 		})
 	}
-	_ = from
 }
 
 // handleCommand applies a coordinator command at the forwarder. On the

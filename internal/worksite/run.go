@@ -124,7 +124,7 @@ func (s *Site) controlTick(now time.Duration) {
 	// 1 Hz housekeeping: heartbeats, status reports, live-risk response.
 	if s.tickNo%s.ticksPerSec == 0 {
 		s.send(NodeCoordinator, NodeForwarder, wireMsg{Type: "heartbeat", From: string(NodeCoordinator)})
-		s.sendForwarderStatus(now)
+		s.sendForwarderStatus()
 		s.updateOperatingMode(now)
 	}
 	s.scoreTick(now)
@@ -435,7 +435,7 @@ func (s *Site) planTo(goal, from geo.Vec) {
 }
 
 //worksim:hotpath
-func (s *Site) sendForwarderStatus(now time.Duration) {
+func (s *Site) sendForwarderStatus() {
 	s.send(NodeForwarder, NodeCoordinator, wireMsg{
 		Type:    "status",
 		From:    string(NodeForwarder),
@@ -445,7 +445,6 @@ func (s *Site) sendForwarderStatus(now time.Duration) {
 		GNSSOK:  s.lastVerdictOK,
 		GNSSWhy: s.lastVerdictWhy,
 	})
-	_ = now
 }
 
 // scoreTick assesses the tick's safety and navigation state and publishes

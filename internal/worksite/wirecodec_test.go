@@ -11,187 +11,11 @@ import (
 	"repro/internal/sensors"
 )
 
-// checkAgainstStdlib runs one input through the fast parser and asserts its
-// contract: whenever the fast path accepts, encoding/json must accept the
-// same bytes and produce an identical message. (The fast path rejecting is
-// always fine — the caller falls back to the stdlib.)
-func checkAgainstStdlib(t *testing.T, payload []byte) {
-	t.Helper()
-	intern := make(internTable)
-	var fast wireMsg
-	ok := fastParseWireMsg(payload, &fast, intern)
-
-	var std wireMsg
-	err := json.Unmarshal(payload, &std)
-	if !ok {
-		return
-	}
-	if err != nil {
-		t.Fatalf("fast path accepted input the stdlib rejects (%v): %q", err, payload)
-	}
-	// nil-vs-empty detections is the one representational difference the
-	// scratch reuse introduces; the consumers only look at len.
-	if len(fast.Detections) == 0 {
-		fast.Detections = nil
-	}
-	if len(std.Detections) == 0 {
-		std.Detections = nil
-	}
-	if !reflect.DeepEqual(fast, std) {
-		t.Fatalf("fast path diverges from stdlib on %q:\nfast: %+v\nstd:  %+v", payload, fast, std)
-	}
-}
-
-// TestWireCodecDifferential feeds the fast parser every message shape the
-// worksite actually sends (marshalled by the same encoder production uses)
-// plus edge and hostile inputs, checking equivalence with encoding/json.
-func TestWireCodecDifferential(t *testing.T) {
-	msgs := []wireMsg{
-		{},
-		{Type: "heartbeat", From: "coordinator"},
-		{Type: "status", From: "forwarder-1", PosX: 123.456789012345, PosY: -0.000123,
-			State: "driving", GNSSOK: true, GNSSWhy: ""},
-		{Type: "status", From: "forwarder-1", PosX: 1e21, PosY: -1e-7,
-			GNSSOK: false, GNSSWhy: "position jump exceeds max speed"},
-		{Type: "command", From: "coordinator", Command: "clear-stops", Seq: 18446744073709551615},
-		{Type: "detections", From: "drone-1", Detections: []sensors.Detection{
-			{TargetID: "worker-1", Pos: geo.V(200.123456789, 199.55), Confidence: 0.92, Sensor: "aerial-camera"},
-			{TargetID: "", Pos: geo.V(-3.5, 0), Confidence: 0.31, Sensor: "camera", FalsePositive: true},
-		}},
-		{Type: "detections", From: "drone-1", Detections: []sensors.Detection{}},
-	}
-	for _, m := range msgs {
-		data, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkAgainstStdlib(t, data)
-
-		// The fast path must accept its own production grammar: a rejected
-		// self-encoded message would silently fall back every tick.
-		intern := make(internTable)
-		var fast wireMsg
-		if !fastParseWireMsg(data, &fast, intern) {
-			t.Fatalf("fast path rejected self-encoded message %q", data)
-		}
-	}
-
-	edgeInputs := []string{
-		``, `{}`, `null`, `true`, `42`, `"str"`, `[]`,
-		`{"type":"heartbeat"`,                             // truncated
-		`{"type":"heartbeat",}`,                           // trailing comma
-		`{"type":"heartbeat"} garbage`,                    // trailing bytes
-		`{"type": "heartbeat" , "from" : "coordinator" }`, // whitespace
-		`{"TYPE":"heartbeat"}`,                            // case-insensitive stdlib match
-		`{"type":"he\u0061rtbeat"}`,                       // escape
-		`{"type":"tick\ttock"}`,                           // raw control char (invalid JSON)
-		`{"unknown":{"nested":[1,2,{"x":3}]},"type":"x"}`, // unknown keys
-		`{"seq":-1}`, `{"seq":1.5}`, `{"seq":1e3}`,        // non-uint seq forms
-		`{"posX":0.1e+5,"posY":-0}`,                   // exotic but valid numbers
-		`{"posX":00.1}`, `{"posX":.5}`, `{"posX":5.}`, // invalid numbers
-		`{"posX":0x1p3}`, `{"posX":Inf}`, `{"posX":NaN}`, // ParseFloat-only forms
-		`{"gnssOk":1}`, `{"gnssOk":"true"}`, // non-bool bools
-		`{"detections":null}`,                                // null array
-		`{"detections":[null]}`,                              // null element
-		`{"detections":[{"pos":{"x":1,"y":2,"z":3}}]}`,       // unknown vec key
-		`{"detections":[{"targetId":"w","pos":{"x":1}}]}`,    // partial vec
-		`{"type":"detections","detections":[]}`,              // empty array
-		`{"type":"a","type":"b"}`,                            // duplicate key
-		`{"detections":[{"confidence":1},{"confidence":2}]}`, // multiple elements
-		`{"type":"x","detections":[{"falsePositive":true}],"command":"pause"}`,
-		"{\"type\":\"caf\xc3\xa9\"}",                // non-ASCII UTF-8
-		"{\"type\":\"bad\xff\xfe\"}",                // invalid UTF-8 (stdlib coerces; fast must reject)
-		`{"posX":123456789012345678901234567890.5}`, // huge mantissa
-		`{"seq":18446744073709551616}`,              // uint64 overflow
-	}
-	for _, in := range edgeInputs {
-		checkAgainstStdlib(t, []byte(in))
-	}
-}
-
-// TestWireCodecScratchReuse exercises the production calling pattern: one
-// scratch message decoded repeatedly with interning, ensuring a later decode
-// fully overwrites an earlier one.
-func TestWireCodecScratchReuse(t *testing.T) {
-	intern := make(internTable)
-	var msg wireMsg
-
-	decode := func(m wireMsg) wireMsg {
-		data, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		msg = wireMsg{Detections: msg.Detections[:0]}
-		if !fastParseWireMsg(data, &msg, intern) {
-			t.Fatalf("fast path rejected %q", data)
-		}
-		return msg
-	}
-
-	full := wireMsg{Type: "detections", From: "drone-1", Detections: []sensors.Detection{
-		{TargetID: "worker-2", Pos: geo.V(1, 2), Confidence: 0.5, Sensor: "aerial-camera"},
-	}}
-	got := decode(full)
-	if got.Type != "detections" || len(got.Detections) != 1 || got.Detections[0].TargetID != "worker-2" {
-		t.Fatalf("first decode wrong: %+v", got)
-	}
-	first := got.Detections[0]
-
-	got = decode(wireMsg{Type: "heartbeat", From: "coordinator"})
-	if got.Type != "heartbeat" || got.From != "coordinator" || len(got.Detections) != 0 {
-		t.Fatalf("scratch not fully overwritten: %+v", got)
-	}
-
-	// Interning must hand back the same string backing across decodes.
-	got = decode(full)
-	if got.Detections[0].TargetID != first.TargetID || got.Detections[0].Sensor != first.Sensor {
-		t.Fatalf("re-decode differs: %+v", got.Detections[0])
-	}
-}
-
-// FuzzWireCodec drives the differential check with arbitrary bytes: the fast
-// parser must never accept anything encoding/json rejects, nor produce a
-// different message for anything both accept.
-func FuzzWireCodec(f *testing.F) {
-	seeds := []string{
-		`{"type":"heartbeat","from":"coordinator"}`,
-		`{"type":"status","from":"forwarder-1","posX":204.35,"posY":199.9,"state":"driving","gnssOk":true}`,
-		`{"type":"detections","from":"drone-1","detections":[{"targetId":"worker-1","pos":{"x":1.5,"y":-2},"confidence":0.9,"sensor":"aerial-camera","falsePositive":false}]}`,
-		`{"type":"command","from":"attacker","command":"clear-stops","seq":7}`,
-		`{"posX":1e308,"posY":-1e-308}`,
-	}
-	for _, s := range seeds {
-		f.Add([]byte(s))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		intern := make(internTable)
-		var fast wireMsg
-		ok := fastParseWireMsg(data, &fast, intern)
-		if !ok {
-			return
-		}
-		var std wireMsg
-		if err := json.Unmarshal(data, &std); err != nil {
-			t.Fatalf("fast path accepted input the stdlib rejects (%v): %q", err, data)
-		}
-		if len(fast.Detections) == 0 {
-			fast.Detections = nil
-		}
-		if len(std.Detections) == 0 {
-			std.Detections = nil
-		}
-		if !reflect.DeepEqual(fast, std) {
-			t.Fatalf("divergence on %q:\nfast: %+v\nstd:  %+v", data, fast, std)
-		}
-	})
-}
-
 // TestFallbackDecodeDoesNotLeakScratch locks the fix for a scratch-reuse
-// bug: when a message falls back to encoding/json (here forced via an escape
-// sequence), the decode must start from a zero message — the stdlib merges
-// into within-capacity slice elements without zeroing, so decoding into the
-// reused scratch would leak fields of an earlier detections message into the
-// new one.
+// bug. encoding/json is the only decoder, and it merges into within-capacity
+// slice elements without zeroing them, so every decode must start from a
+// zero message: decoding into reused storage would leak fields of an earlier
+// detections message into the new one.
 func TestFallbackDecodeDoesNotLeakScratch(t *testing.T) {
 	site, err := New(DefaultConfig(1))
 	if err != nil {
@@ -202,25 +26,97 @@ func TestFallbackDecodeDoesNotLeakScratch(t *testing.T) {
 		`[{"targetId":"worker-1","pos":{"x":1,"y":2},"confidence":0.92,"sensor":"aerial-camera","falsePositive":true}]}`)
 	site.handleAppPayload(NodeForwarder, NodeDrone, full)
 	if len(site.droneDets) != 1 || site.droneDets[0].Confidence != 0.92 {
-		t.Fatalf("fast-path decode wrong: %+v", site.droneDets)
+		t.Fatalf("first decode wrong: %+v", site.droneDets)
 	}
 
-	// The \u0041 escape forces the stdlib fallback; every omitted field must
-	// be zero.
+	// Every field the sparse message omits must decode as zero.
 	sparse := []byte(`{"type":"detections","from":"drone-1","detections":[{"targetId":"x\u0041"}]}`)
 	site.handleAppPayload(NodeForwarder, NodeDrone, sparse)
 	got := site.droneDets
 	if len(got) != 1 || got[0].TargetID != "xA" {
-		t.Fatalf("fallback decode wrong: %+v", got)
+		t.Fatalf("second decode wrong: %+v", got)
 	}
 	if got[0].Confidence != 0 || got[0].Sensor != "" || got[0].FalsePositive {
-		t.Fatalf("fallback decode leaked fields from the previous message: %+v", got[0])
+		t.Fatalf("decode leaked fields from the previous message: %+v", got[0])
 	}
+}
+
+// TestLastSentNeedsEqualBytes pins the condition of the last-sent handoff:
+// the receiver takes the slot only for a plaintext byte-equal to what was
+// sent on that link. A receiver that skipped the compare would dispatch the
+// sent message for any payload on the link.
+func TestLastSentNeedsEqualBytes(t *testing.T) {
+	site, err := New(DefaultConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	detsMsg := func(target string, x float64) wireMsg {
+		return wireMsg{Type: "detections", From: string(NodeDrone), Detections: []sensors.Detection{
+			{TargetID: target, Pos: geo.V(x, 2), Confidence: 0.9, Sensor: "aerial-camera"},
+		}}
+	}
+	a, b := detsMsg("worker-1", 1), detsMsg("worker-2", 3)
+	site.send(NodeDrone, NodeForwarder, a)
+
+	bBytes, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	site.handleAppPayload(NodeForwarder, NodeDrone, bBytes)
+	if !reflect.DeepEqual(site.droneDets, b.Detections) {
+		t.Fatalf("payload B on the drone link dispatched %+v, want B %+v", site.droneDets, b.Detections)
+	}
+
+	aBytes, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	site.handleAppPayload(NodeForwarder, NodeDrone, aBytes)
+	if !reflect.DeepEqual(site.droneDets, a.Detections) {
+		t.Fatalf("payload A on the drone link dispatched %+v, want A %+v", site.droneDets, a.Detections)
+	}
+}
+
+// TestInjectionAfterHeartbeatIsApplied delivers the command-injection
+// attack's forged clear-stops bytes, claiming the coordinator, right after a
+// real heartbeat on that link. On the unsecured stack the forgery must still
+// reach the forwarder's command handler: it misses the slot and is decoded.
+func TestInjectionAfterHeartbeatIsApplied(t *testing.T) {
+	site, err := New(DefaultConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	site.send(NodeCoordinator, NodeForwarder, wireMsg{Type: "heartbeat", From: string(NodeCoordinator)})
+	before := site.metrics.CommandsApplied
+	site.handleAppPayload(NodeForwarder, NodeCoordinator,
+		[]byte(`{"type":"command","from":"coordinator","command":"clear-stops"}`))
+	if got := site.metrics.CommandsApplied; got != before+1 {
+		t.Fatalf("CommandsApplied = %d after the injected clear-stops, want %d", got, before+1)
+	}
+}
+
+// sameWireMsg reports whether a and b are identical, comparing floats by
+// their bits so that -0 and +0 differ.
+func sameWireMsg(a, b wireMsg) bool {
+	bits := math.Float64bits
+	if bits(a.PosX) != bits(b.PosX) || bits(a.PosY) != bits(b.PosY) || len(a.Detections) != len(b.Detections) {
+		return false
+	}
+	for i := range a.Detections {
+		da, db := a.Detections[i], b.Detections[i]
+		if bits(da.Pos.X) != bits(db.Pos.X) || bits(da.Pos.Y) != bits(db.Pos.Y) ||
+			bits(da.Confidence) != bits(db.Confidence) {
+			return false
+		}
+	}
+	return reflect.DeepEqual(a, b)
 }
 
 // checkWireEncode asserts appendWireMsg's contract for one message: it
 // either declines (ok=false) or appends exactly json.Marshal's bytes after
-// dst's existing contents, leaving them untouched. It reports ok.
+// dst's existing contents, leaving them untouched, and encoding/json decodes
+// those bytes to exactly canon(m), sign bits included. The last-sent handoff
+// rests on that round trip. It reports ok.
 func checkWireEncode(t *testing.T, m wireMsg) bool {
 	t.Helper()
 	const prefix = "prefix"
@@ -234,6 +130,13 @@ func checkWireEncode(t *testing.T, m wireMsg) bool {
 	}
 	if string(got[:len(prefix)]) != prefix || !bytes.Equal(got[len(prefix):], want) {
 		t.Fatalf("fast encoder diverges from encoding/json on %+v:\nfast: %s\nstd:  %s", m, got, want)
+	}
+	var dec wireMsg
+	if err := json.Unmarshal(want, &dec); err != nil {
+		t.Fatalf("encoding/json rejects its own bytes (%v): %s", err, want)
+	}
+	if c := canon(m); !sameWireMsg(dec, c) {
+		t.Fatalf("decode(encode(m)) != canon(m) for %s:\ndecoded: %+v\ncanon:   %+v", want, dec, c)
 	}
 	return true
 }
@@ -310,12 +213,23 @@ func TestWireEncodeDifferential(t *testing.T) {
 }
 
 // FuzzWireEncode drives appendWireMsg with arbitrary field values: every
-// message it accepts must encode to exactly json.Marshal's bytes.
+// message it accepts must encode to exactly json.Marshal's bytes, which must
+// decode to canon of the message.
 func FuzzWireEncode(f *testing.F) {
+	negZero := math.Copysign(0, -1)
 	f.Add("detections", "drone-1", uint64(0), 204.35, 199.9, "driving", true, "", "",
 		uint8(2), "worker-1", 1.5, -2.0, 0.92, "aerial-camera", false)
 	f.Add("status", "forwarder-1", uint64(7), -1e-7, 1e21, "", false, "jump <5m>", "clear-stops",
 		uint8(0), "", 0.0, 0.0, 0.0, "", true)
+	// -0 (dropped at the top level, kept inside a detection), subnormals, and
+	// both sides of the 1e-6 and 1e21 switches between plain and exponent
+	// notation.
+	f.Add("status", "forwarder-1", uint64(1), negZero, 5e-324, "", false, "", "",
+		uint8(3), "worker-1", negZero, negZero, negZero, "camera", false)
+	f.Add("detections", "drone-1", uint64(0), 1e-6, 9.999999999999999e-7, "", false, "", "",
+		uint8(3), "worker-2", 1e21, 9.999999999999999e20, 5e-324, "aerial-camera", true)
+	f.Add("status", "forwarder-1", uint64(0), -1e21, -9.999999999999999e20, "", true, "", "",
+		uint8(2), "", -1e-6, -9.999999999999999e-7, 2.2250738585072014e-308, "", false)
 	f.Fuzz(func(t *testing.T, typ, from string, seq uint64, posX, posY float64,
 		state string, gnssOK bool, gnssWhy, command string,
 		nDets uint8, target string, x, y, conf float64, sensor string, falsePositive bool) {

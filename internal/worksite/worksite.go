@@ -230,9 +230,10 @@ type Site struct {
 	// Per-tick scratch state. The control loop runs at 2 Hz for every
 	// simulated machine-minute, so its working set is reused tick over tick:
 	// target/detection/position buffers, the wire-message buffer (and the
-	// encoder for messages the fast encoder does not cover), and the
-	// receive-side parse scratch. A steady-state tick performs zero heap
-	// allocations (locked by TestTickLoopZeroAllocs).
+	// encoder for messages the fast encoder does not cover), and each
+	// link's last-sent slot, which the receiver takes instead of decoding.
+	// A steady-state tick performs zero heap allocations (locked by
+	// TestTickLoopZeroAllocs).
 	ticksPerSec      int
 	scratchTargets   []sensors.Target
 	scratchDets      []sensors.Detection
@@ -240,8 +241,7 @@ type Site struct {
 	sendBuf          bytes.Buffer
 	sendEnc          *json.Encoder
 	sendScratch      wireMsg
-	recvMsg          wireMsg
-	intern           internTable
+	lastSent         map[chanKey]*sentSlot
 
 	// observers receive the typed event stream; the built-in metrics and
 	// timeline observers subscribe first at commissioning.
@@ -306,7 +306,7 @@ func newSite(cfg Config, sh *SharedSecurity) (*Site, error) {
 		adapters: make(map[radio.NodeID]*netsim.Adapter),
 		channels: make(map[chanKey]*securechan.Channel),
 		mission:  phaseToHarvest,
-		intern:   make(internTable),
+		lastSent: make(map[chanKey]*sentSlot),
 		shared:   sh,
 	}
 	s.sendBuf.Grow(sendBufSize)
