@@ -27,7 +27,11 @@
 // in it are ignored and resume nothing.
 // -merge combines the shard result files into output byte-identical to the
 // single-process sweep. Progress and statistics go to stderr, so `-json -`
-// output on stdout pipes straight into -merge.
+// output on stdout pipes straight into -merge. The closing "sweep stats"
+// line counts runs simulated fresh (executed), served from the -checkpoint
+// dir (resumed) or the -cache dir (cacheHits), cache lookups that found
+// nothing (cacheMisses), and damaged records met in either dir, none of
+// them served (cacheCorrupt).
 //
 // The seed range convention is [seed-base, seed-base+seeds); with a fixed
 // seed set the aggregate tables and the JSON export are byte-identical across

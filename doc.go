@@ -65,14 +65,16 @@
 // seed) run to a shard by a stable FNV-1a hash — independent of enumeration
 // order — so `campaign -shard i/N` processes partition a sweep and
 // `campaign -merge` recombines their outputs into bytes identical to the
-// single-process run. internal/resultcache stores completed runs in
-// checksummed, atomically-written entries addressed by the SHA-256 of the
-// full run key (spec hash, profile, seed, duration, sampling, early-stop
-// name, engine version); damaged entries are detected, evicted and
-// recomputed, never trusted. The checkpoint is a second such cache that
-// every fresh run is stored into, so a killed campaign resumes from it;
-// sharded processes may share one checkpoint directory, and old
-// shard-*-of-*.jsonl journals are ignored. None of the three changes a byte
+// single-process run. internal/resultcache appends completed runs as
+// checksummed records to append-only segment files, addressed by the full
+// run key (spec hash, profile, seed, duration, sampling, early-stop name,
+// engine version), each segment ending in a table of its records that a
+// sweep reads instead of the records; damaged records are detected,
+// counted and recomputed, never trusted. The checkpoint is a second such
+// cache that every fresh run is stored into, so a killed campaign resumes
+// from it; every writer appends to its own segment, so sharded processes
+// may share one checkpoint directory, and old shard-*-of-*.jsonl journals
+// are ignored. None of the three changes a byte
 // of sweep output — only where the bytes come from.
 //
 // Everything under internal/ is engine: free to evolve, reachable only

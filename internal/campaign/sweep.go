@@ -58,17 +58,22 @@ type SweepOptions struct {
 	// CacheDir, when non-empty, enables the content-addressed result cache
 	// rooted there: every completed run is stored keyed on (canonical spec
 	// hash, profile, seed, duration, sampling, early-stop name, engine
-	// version), and runs whose key already has a verified entry are served
-	// from disk instead of recomputed.
+	// version), and runs whose key already has a verified record are served
+	// from disk instead of recomputed. The sweep reads the index table of
+	// each segment file in the directory when it starts, appends the runs
+	// it computes to a segment of its own, and closes the store — writing
+	// that segment's table — when it returns.
 	CacheDir string
 	// CheckpointDir, when non-empty, opens a second result cache rooted
 	// there, with the same run key as CacheDir: every completed run is
-	// stored as it finishes, and runs already stored are served from it
+	// appended as it finishes, and runs already stored are served from it
 	// first, so a killed campaign re-run with identical options resumes
-	// instead of restarting from zero. A run whose key differs (another
-	// duration, engine or spec) simply misses, so sharded processes and
-	// unrelated campaigns may share one directory. Old per-shard
-	// shard-*-of-*.jsonl journals are ignored and resume nothing.
+	// instead of restarting from zero; a run cut off mid-append is simply
+	// computed again. A run whose key differs (another duration, engine or
+	// spec) misses, and every sweep writes its own segment, so sharded
+	// processes and unrelated campaigns may share one directory. Old
+	// per-shard shard-*-of-*.jsonl journals and old one-file-per-run
+	// entries are ignored and resume nothing.
 	CheckpointDir string
 	// OnRunDone, when non-nil, is invoked once after every completed
 	// (scenario, profile, seed) run — the progress seam async consumers
@@ -101,9 +106,10 @@ type SweepStats struct {
 type SweepStatsView struct {
 	// Executed counts runs simulated fresh in this process.
 	Executed int64 `json:"executed"`
-	// CacheHits / CacheMisses / CacheCorrupt are the result-cache counters:
-	// verified entries served, lookups that found nothing, and damaged
-	// entries that were rejected and recomputed.
+	// CacheHits / CacheMisses are the result-cache counters: verified
+	// records served, and lookups that found nothing. CacheCorrupt counts
+	// damaged records met in the result cache and the checkpoint store
+	// alike; none is served, and a run that needed one is recomputed.
 	CacheHits    int64 `json:"cacheHits"`
 	CacheMisses  int64 `json:"cacheMisses"`
 	CacheCorrupt int64 `json:"cacheCorrupt"`
@@ -274,22 +280,34 @@ func Sweep(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sweep: %w", err)
 		}
+		// A Close that fails leaves the segment without its table, which
+		// the next Open repairs by compacting it.
+		defer c.Close()
 		env.cache = c
-		// Fold the cache's own counters into the sweep stats once the
-		// sweep ends, however it ends.
-		defer func() {
-			cs := c.Stats()
-			env.stats.cacheMisses.Store(cs.Misses)
-			env.stats.cacheCorrupt.Store(cs.Corrupt)
-		}()
 	}
 	if opts.CheckpointDir != "" {
 		c, err := resultcache.Open(opts.CheckpointDir)
 		if err != nil {
 			return nil, fmt.Errorf("sweep: checkpoint: %w", err)
 		}
+		defer c.Close()
 		env.ckpt = c
 	}
+	// Fold the stores' own counters into the sweep stats once the sweep
+	// ends, however it ends: misses are the result cache's, damaged records
+	// are counted from both stores.
+	defer func() {
+		if env.cache != nil {
+			env.stats.cacheMisses.Store(env.cache.Stats().Misses)
+		}
+		var corrupt int64
+		for _, store := range [...]*resultcache.Cache{env.cache, env.ckpt} {
+			if store != nil {
+				corrupt += store.Stats().Corrupt
+			}
+		}
+		env.stats.cacheCorrupt.Store(corrupt)
+	}()
 
 	res := &SweepResult{Version: version.Engine, Duration: d, Seeds: opts.Seeds}
 	if opts.Shard.Enabled() {

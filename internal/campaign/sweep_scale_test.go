@@ -7,6 +7,7 @@ package campaign_test
 // genuine process kill (re-exec helper) between seeds.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -155,9 +156,9 @@ func TestWarmCacheByteIdentity(t *testing.T) {
 	}
 }
 
-// TestCacheCorruptEntryRecomputed: damaging one cached entry costs exactly
-// one recomputation — the corrupt entry is detected, evicted and recomputed,
-// and output stays byte-identical.
+// TestCacheCorruptEntryRecomputed: damaging one cached record costs exactly
+// one recomputation — the corrupt record is detected, counted and
+// recomputed, and output stays byte-identical.
 func TestCacheCorruptEntryRecomputed(t *testing.T) {
 	dir := t.TempDir()
 	coldOpts := scaleOpts()
@@ -180,27 +181,30 @@ func TestCacheCorruptEntryRecomputed(t *testing.T) {
 	}
 }
 
-// flipPayloadBit damages one of the 16 entries of a result-cache directory:
-// it flips one bit near the end of the entry, inside the payload, where only
-// the checksum catches it.
+// flipPayloadBit damages one of the 16 records of a result-cache directory:
+// it flips one bit inside the payload of the segment's last record, where
+// only the checksum catches it.
 func flipPayloadBit(t *testing.T, dir string) {
 	t.Helper()
-	var entries []string
-	filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() && strings.HasSuffix(path, ".json") {
-			entries = append(entries, path)
-		}
-		return nil
-	})
-	if len(entries) != 16 {
-		t.Fatalf("%s holds %d entries, want 16", dir, len(entries))
-	}
-	b, err := os.ReadFile(entries[0])
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[len(b)-10] ^= 0x01
-	if err := os.WriteFile(entries[0], b, 0o644); err != nil {
+	if len(segs) != 1 {
+		t.Fatalf("%s holds segments %v, want one", dir, segs)
+	}
+	b, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(b, []byte(`"specHash"`)); n != 16 {
+		t.Fatalf("%s holds %d records, want 16", segs[0], n)
+	}
+	// The last record's key ends at the first '}' after its "engine"
+	// field; its payload follows, and the segment's table after that.
+	key := bytes.LastIndex(b, []byte(`"engine":`))
+	b[key+bytes.IndexByte(b[key:], '}')+10] ^= 0x01
+	if err := os.WriteFile(segs[0], b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -326,9 +330,9 @@ func TestCheckpointIgnoresForeignRuns(t *testing.T) {
 	}
 }
 
-// TestCheckpointCorruptEntryRecomputed: damaging one checkpoint entry costs
-// exactly one recomputation on resume — the entry fails its checksum, is
-// evicted and recomputed, and output stays byte-identical.
+// TestCheckpointCorruptEntryRecomputed: damaging one checkpoint record costs
+// exactly one recomputation on resume — the record fails its checksum, is
+// counted corrupt and recomputed, and output stays byte-identical.
 func TestCheckpointCorruptEntryRecomputed(t *testing.T) {
 	dir := t.TempDir()
 	coldOpts := scaleOpts()
@@ -342,8 +346,8 @@ func TestCheckpointCorruptEntryRecomputed(t *testing.T) {
 	opts.CheckpointDir = dir
 	opts.Stats = &stats
 	got := sweepBytes(t, opts)
-	if sv := stats.View(); sv.Resumed != 15 || sv.Executed != 1 {
-		t.Fatalf("stats after corruption = %+v, want 15 resumed / 1 executed", sv)
+	if sv := stats.View(); sv.Resumed != 15 || sv.Executed != 1 || sv.CacheCorrupt != 1 {
+		t.Fatalf("stats after corruption = %+v, want 15 resumed / 1 executed / 1 corrupt", sv)
 	}
 	if string(got) != string(coldBytes) {
 		t.Fatal("output after checkpoint corruption recovery differs from the cold run")

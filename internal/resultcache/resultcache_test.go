@@ -1,13 +1,19 @@
 package resultcache
 
-// Result-cache tests: the content address must cover every key field, and a
-// damaged entry — truncated, bit-flipped, or copied to the wrong address —
-// must always be detected, counted, evicted and recomputed, never trusted.
+// Result-cache tests: the content address must cover every key field; a
+// damaged record — bit-flipped, garbled, or carrying another key's bytes —
+// must always be detected, counted and recomputed, never trusted; an
+// incomplete final record is a plain miss; any number of writers may share
+// one root; and compaction keeps every record a Cache could serve.
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -31,10 +37,7 @@ func baseKey() Key {
 // TestRoundTrip: Put then Get returns the exact payload and counts one
 // store, one hit.
 func TestRoundTrip(t *testing.T) {
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	c := open(t, t.TempDir())
 	k := baseKey()
 	in := payload{Metrics: map[string]float64{"logs": 12, "collisions": 0}, Note: "x"}
 	if err := c.Put(k, in); err != nil {
@@ -56,10 +59,7 @@ func TestRoundTrip(t *testing.T) {
 
 // TestMiss: an absent key is a miss, not an error.
 func TestMiss(t *testing.T) {
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	c := open(t, t.TempDir())
 	var out payload
 	hit, err := c.Get(baseKey(), &out)
 	if err != nil || hit {
@@ -70,8 +70,8 @@ func TestMiss(t *testing.T) {
 	}
 }
 
-// TestKeySensitivity: changing any single key field changes the content
-// address — the property that makes a stale or foreign hit impossible.
+// TestKeySensitivity: changing any single key field changes the canonical
+// key bytes, the record's address — the property that makes a stale or foreign hit impossible.
 func TestKeySensitivity(t *testing.T) {
 	base := baseKey()
 	variants := map[string]Key{}
@@ -97,15 +97,15 @@ func TestKeySensitivity(t *testing.T) {
 	k.Engine = "0.7.0"
 	variants["engine"] = k
 
-	ids := map[string]string{"": base.ID()}
+	ids := map[string]string{"": string(base.bytes())}
 	for field, v := range variants {
-		id := v.ID()
-		if id == base.ID() {
-			t.Errorf("changing %s did not change the cache ID", field)
+		id := string(v.bytes())
+		if id == ids[""] {
+			t.Errorf("changing %s did not change the key bytes", field)
 		}
 		for prev, prevID := range ids {
 			if id == prevID {
-				t.Errorf("variants %q and %q collide on ID %s", field, prev, id)
+				t.Errorf("variants %q and %q collide on key bytes %s", field, prev, id)
 			}
 		}
 		ids[field] = id
@@ -113,10 +113,7 @@ func TestKeySensitivity(t *testing.T) {
 
 	// And the cache behaves accordingly: an entry stored under the base key
 	// is invisible to every variant.
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	c := open(t, t.TempDir())
 	if err := c.Put(base, payload{Note: "base"}); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
@@ -132,168 +129,422 @@ func TestKeySensitivity(t *testing.T) {
 	}
 }
 
-// entryPath locates the single entry file of a one-entry cache.
-func entryPath(t *testing.T, c *Cache, k Key) string {
+// open opens a cache at dir and closes it when the test ends.
+func open(t testing.TB, dir string) *Cache {
 	t.Helper()
-	id := k.ID()
-	p := filepath.Join(c.Root(), id[:2], id+".json")
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// putAll opens a cache at dir, stores payload under every key, and closes
+// it, leaving one segment of complete records behind.
+func putAll(t *testing.T, dir string, p payload, keys ...Key) {
+	t.Helper()
+	c := open(t, dir)
+	for _, k := range keys {
+		if err := c.Put(k, p); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// segmentPath locates segment n of a cache root.
+func segmentPath(t *testing.T, dir string, n int) string {
+	t.Helper()
+	p := filepath.Join(dir, fmt.Sprintf("seg-%d", n))
 	if _, err := os.Stat(p); err != nil {
-		t.Fatalf("entry file %s: %v", p, err)
+		t.Fatalf("segment %s: %v", p, err)
 	}
 	return p
 }
 
-// TestCorruptionDetected: truncation, bit flips and key tampering are all
-// rejected by checksum/key comparison, counted as corrupt, evicted from
-// disk, and reported as a miss so the caller recomputes.
-func TestCorruptionDetected(t *testing.T) {
-	damage := map[string]func([]byte) []byte{
-		"truncated": func(b []byte) []byte { return b[:len(b)/2] },
-		"bit-flip": func(b []byte) []byte {
-			out := append([]byte(nil), b...)
-			// Flip one bit inside the payload section (past the envelope
-			// prefix), where only the checksum can catch it.
-			out[len(out)-10] ^= 0x01
-			return out
-		},
-		"empty":              func([]byte) []byte { return nil },
-		"not-json":           func([]byte) []byte { return []byte("not an entry at all") },
-		"truncated-one-byte": func(b []byte) []byte { return b[:len(b)-1] },
+// writeSegment stores runPayload(seed) under runKey(seed) for every seed
+// with one Cache and closes it, leaving seg-1 behind. It returns where each
+// record starts and where the records end and the table begins.
+func writeSegment(t *testing.T, dir string, seeds ...int64) (starts []int64, end int64) {
+	t.Helper()
+	c := open(t, dir)
+	for _, s := range seeds {
+		starts = append(starts, c.end)
+		if err := c.Put(runKey(s), runPayload(s)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for name, mutate := range damage {
-		t.Run(name, func(t *testing.T) {
-			c, err := Open(t.TempDir())
-			if err != nil {
-				t.Fatalf("Open: %v", err)
-			}
-			k := baseKey()
-			if err := c.Put(k, payload{Metrics: map[string]float64{"logs": 3}}); err != nil {
-				t.Fatalf("Put: %v", err)
-			}
-			p := entryPath(t, c, k)
-			b, err := os.ReadFile(p)
-			if err != nil {
-				t.Fatalf("read entry: %v", err)
-			}
-			if err := os.WriteFile(p, mutate(b), 0o644); err != nil {
-				t.Fatalf("write damaged entry: %v", err)
-			}
+	end = c.end
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return starts, end
+}
 
+// damageSegment rewrites seg-1 of dir as mutate makes it of its bytes and
+// the offset where its records end.
+func damageSegment(t *testing.T, dir string, end int64, mutate func(b []byte, end int) []byte) {
+	t.Helper()
+	p := segmentPath(t, dir, 1)
+	b, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatalf("read segment: %v", err)
+	}
+	if err := os.WriteFile(p, mutate(b, int(end)), 0o644); err != nil {
+		t.Fatalf("write damaged segment: %v", err)
+	}
+}
+
+// TestCorruptionDetected: a bit flip and a garbled header are rejected by
+// checksum or header parse, counted as corrupt, and reported as a miss so
+// the caller recomputes; truncation leaves an incomplete final record,
+// which is a plain miss. Either way the recomputed record shadows the
+// damage for every later Open.
+func TestCorruptionDetected(t *testing.T) {
+	damage := map[string]struct {
+		mutate      func(b []byte, end int) []byte
+		wantCorrupt int64
+	}{
+		"truncated": {func(b []byte, end int) []byte { return b[:end/2] }, 0},
+		"bit-flip": {func(b []byte, end int) []byte {
+			// Flip one bit inside the payload section (past the header and
+			// key), where only the checksum can catch it.
+			b[end-10] ^= 0x01
+			return b
+		}, 1},
+		"empty":              {func([]byte, int) []byte { return nil }, 0},
+		"not-json":           {func([]byte, int) []byte { return []byte("not an entry at all") }, 1},
+		"truncated-one-byte": {func(b []byte, end int) []byte { return b[:end-1] }, 0},
+	}
+	for name, d := range damage {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			_, end := writeSegment(t, dir, 1)
+			damageSegment(t, dir, end, d.mutate)
+
+			c := open(t, dir)
 			var out payload
-			hit, err := c.Get(k, &out)
+			hit, err := c.Get(runKey(1), &out)
 			if err != nil {
-				t.Fatalf("Get on damaged entry: %v", err)
+				t.Fatalf("Get on damaged record: %v", err)
 			}
 			if hit {
-				t.Fatal("damaged entry served as a hit")
+				t.Fatal("damaged record served as a hit")
 			}
-			if st := c.Stats(); st.Corrupt != 1 {
-				t.Fatalf("stats = %+v, want 1 corrupt", st)
+			if st := c.Stats(); st.Corrupt != d.wantCorrupt || st.Hits != 0 {
+				t.Fatalf("stats = %+v, want %d corrupt and no hit", st, d.wantCorrupt)
 			}
-			if _, err := os.Stat(p); !os.IsNotExist(err) {
-				t.Fatalf("damaged entry not evicted: stat err = %v", err)
+			// The damaged record is gone from the index: asking again is a
+			// plain miss, not a second corruption.
+			if hit, err := c.Get(runKey(1), &out); hit || err != nil {
+				t.Fatalf("second Get = (%v, %v), want clean miss", hit, err)
 			}
-			// Recompute path: a fresh Put fully heals the slot.
-			if err := c.Put(k, payload{Metrics: map[string]float64{"logs": 3}}); err != nil {
+			if st := c.Stats(); st.Corrupt != d.wantCorrupt {
+				t.Fatalf("stats after second Get = %+v, want corruption counted once", st)
+			}
+			// Recompute path: a fresh Put lands in a later segment and heals
+			// the key for every later Open.
+			if err := c.Put(runKey(1), runPayload(1)); err != nil {
 				t.Fatalf("re-Put: %v", err)
 			}
-			hit, err = c.Get(k, &out)
-			if err != nil || !hit {
-				t.Fatalf("Get after heal = (%v, %v), want hit", hit, err)
+			c.Close()
+			if c := open(t, dir); !checkGet(t, c, 1) || c.Stats().Corrupt != 0 {
+				t.Fatalf("after heal: stats %+v, want a hit and 0 corrupt", c.Stats())
 			}
 		})
 	}
 }
 
-// TestWrongAddress: an entry copied to another key's address fails the
-// stored-key comparison even though its checksum is intact.
+// TestHeaderDamage: a damaged header in the middle of a segment — a
+// flipped magic byte, or a flipped high bit of a payload length — fails the
+// header CRC. In a closed segment, whose table places every record, only
+// that record is lost: its Get counts one corrupt. In a segment a killed
+// writer left without a table, the scan cannot step past the header: it
+// counts one corrupt at Open, the records before it are served, and it and
+// every record after it read as plain misses. The compaction that damage
+// triggers copies the survivors and deletes the segment, so the next Open
+// counts nothing.
+func TestHeaderDamage(t *testing.T) {
+	for name, flip := range map[string]struct {
+		off  int // byte of the second record's header
+		mask byte
+	}{
+		"magic":           {0, 0x01},
+		"length-high-bit": {8 + 3, 0x80},
+	} {
+		t.Run(name+"/closed", func(t *testing.T) {
+			dir := t.TempDir()
+			starts, end := writeSegment(t, dir, 1, 2, 3)
+			damageSegment(t, dir, end, func(b []byte, _ int) []byte {
+				b[starts[1]+int64(flip.off)] ^= flip.mask
+				return b
+			})
+			c := open(t, dir)
+			if !checkGet(t, c, 1) || checkGet(t, c, 2) || !checkGet(t, c, 3) {
+				t.Fatal("want seeds 1 and 3 served and the damaged seed 2 missed")
+			}
+			if st := c.Stats(); st.Corrupt != 1 || st.Hits != 2 || st.Misses != 0 {
+				t.Fatalf("stats = %+v, want 1 corrupt, 2 hits", st)
+			}
+		})
+		t.Run(name+"/killed", func(t *testing.T) {
+			dir := t.TempDir()
+			starts, end := writeSegment(t, dir, 1, 2, 3)
+			damageSegment(t, dir, end, func(b []byte, end int) []byte {
+				b[starts[1]+int64(flip.off)] ^= flip.mask
+				return b[:end]
+			})
+			c := open(t, dir)
+			if st := c.Stats(); st.Corrupt != 1 {
+				t.Fatalf("stats after Open = %+v, want 1 corrupt", st)
+			}
+			if !checkGet(t, c, 1) {
+				t.Fatal("record before the damage was lost")
+			}
+			if checkGet(t, c, 2) || checkGet(t, c, 3) {
+				t.Fatal("record at or after the damaged header served")
+			}
+			if st := c.Stats(); st.Corrupt != 1 || st.Hits != 1 || st.Misses != 2 {
+				t.Fatalf("stats = %+v, want 1 corrupt, 1 hit, 2 misses", st)
+			}
+			c.Close()
+			if got := segmentNames(t, dir); got != "seg-2" {
+				t.Fatalf("after compaction the root holds %q, want \"seg-2\"", got)
+			}
+			c = open(t, dir)
+			if !checkGet(t, c, 1) || c.Stats().Corrupt != 0 {
+				t.Fatalf("compacted root: stats %+v, want the survivor served and 0 corrupt", c.Stats())
+			}
+		})
+	}
+}
+
+// segmentNames lists a cache root, space-separated.
+func segmentNames(t *testing.T, dir string) string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return strings.Join(names, " ")
+}
+
+// TestCompaction: compactAt idle segments are merged at Open into one
+// segment of their unshadowed records, which every later Open serves; a
+// segment a live Cache is writing is left alone, and a root with fewer idle
+// segments is left as it is.
+func TestCompaction(t *testing.T) {
+	dir := t.TempDir()
+	live := open(t, dir)
+	if err := live.Put(runKey(100), runPayload(100)); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= compactAt; i++ {
+		c := open(t, dir)
+		// Seed 0 is stored by every writer: seven of its records are
+		// shadowed.
+		for _, s := range []int64{i, 0} {
+			if err := c.Put(runKey(s), runPayload(s)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Close()
+	}
+	if got := segmentNames(t, dir); got != "seg-1 seg-2 seg-3 seg-4 seg-5 seg-6 seg-7 seg-8 seg-9" {
+		t.Fatalf("before compaction the root holds %q", got)
+	}
+
+	c := open(t, dir)
+	if got := segmentNames(t, dir); got != "seg-1 seg-10" {
+		t.Fatalf("after compaction the root holds %q, want the live segment and one copy", got)
+	}
+	for s := int64(0); s <= compactAt; s++ {
+		if !checkGet(t, c, s) {
+			t.Fatalf("seed %d missed after compaction", s)
+		}
+	}
+	if !checkGet(t, c, 100) {
+		t.Fatal("the live writer's record missed")
+	}
+	if st := c.Stats(); st.Corrupt != 0 || st.Misses != 0 {
+		t.Fatalf("stats = %+v, want only hits", st)
+	}
+	// The copy holds each unshadowed record once.
+	b, err := os.ReadFile(filepath.Join(dir, "seg-10"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(b), magic); n != compactAt+1 {
+		t.Fatalf("seg-10 holds %d records, want %d", n, compactAt+1)
+	}
+	c.Close()
+	live.Close()
+	c = open(t, dir)
+	if got := segmentNames(t, dir); got != "seg-1 seg-10" {
+		t.Fatalf("a root with two idle segments was compacted: %q", got)
+	}
+	for s := int64(0); s <= compactAt; s++ {
+		if !checkGet(t, c, s) {
+			t.Fatalf("seed %d missed after reopening", s)
+		}
+	}
+}
+
+// TestConcurrentCompaction: Caches opening one root at once, each finding
+// compactAt idle segments, split the compaction between them by the
+// segment locks, and each still serves every record stored before it
+// opened; so does a later Open.
+func TestConcurrentCompaction(t *testing.T) {
+	dir := t.TempDir()
+	for s := int64(0); s < compactAt; s++ {
+		writeSegment(t, dir, s, 100+s)
+	}
+	caches := make([]*Cache, 3)
+	var wg sync.WaitGroup
+	for i := range caches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := Open(dir)
+			if err != nil {
+				t.Errorf("Open: %v", err)
+				return
+			}
+			caches[i] = c
+		}()
+	}
+	wg.Wait()
+	for _, c := range caches {
+		if c == nil {
+			t.FailNow()
+		}
+		t.Cleanup(func() { c.Close() })
+	}
+	check := func(c *Cache) {
+		t.Helper()
+		for s := int64(0); s < compactAt; s++ {
+			if !checkGet(t, c, s) || !checkGet(t, c, 100+s) {
+				t.Fatalf("seed %d or %d missed", s, 100+s)
+			}
+		}
+		if st := c.Stats(); st.Corrupt != 0 || st.Misses != 0 {
+			t.Fatalf("stats = %+v, want only hits", st)
+		}
+	}
+	for _, c := range caches {
+		check(c)
+	}
+	for _, c := range caches {
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(open(t, dir))
+}
+
+// TestWrongAddress: a record rewritten to carry another key's bytes, under
+// a well-formed header with the original checksum, fails the checksum, so
+// it can never serve its payload under the foreign key.
 func TestWrongAddress(t *testing.T) {
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	k := baseKey()
-	if err := c.Put(k, payload{Note: "original"}); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	src := entryPath(t, c, k)
-	other := k
-	other.Seed = 99
-	id := other.ID()
-	dst := filepath.Join(c.Root(), id[:2], id+".json")
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(src)
+	dir := t.TempDir()
+	k := runKey(1)
+	_, end := writeSegment(t, dir, 1)
+	b, err := os.ReadFile(segmentPath(t, dir, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(dst, b, 0o644); err != nil {
+	other := runKey(99)
+	kb, ob := k.bytes(), other.bytes()
+	pb := b[headerSize+len(kb) : end]
+	forged := append(append(make([]byte, headerSize), ob...), pb...)
+	putHeader(forged, magic, len(ob), len(pb), [sha256.Size]byte(b[12:]))
+	if err := os.WriteFile(filepath.Join(dir, "seg-2"), forged, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
+	c := open(t, dir)
 	var out payload
 	hit, err := c.Get(other, &out)
 	if err != nil {
 		t.Fatalf("Get: %v", err)
 	}
 	if hit {
-		t.Fatal("entry at the wrong address served as a hit")
+		t.Fatal("record at the wrong address served as a hit")
 	}
 	if st := c.Stats(); st.Corrupt != 1 {
 		t.Fatalf("stats = %+v, want 1 corrupt", st)
 	}
+	if !checkGet(t, c, 1) {
+		t.Fatal("original record missed")
+	}
 }
 
-// TestEvictionIsRemove: deleting any entry file (or the whole cache root)
-// reads as a plain miss — eviction needs no index maintenance.
+// TestEvictionIsRemove: deleting a segment (or the whole cache root) reads
+// as a plain miss from the next Open on — eviction needs no index
+// maintenance.
 func TestEvictionIsRemove(t *testing.T) {
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	k := baseKey()
-	if err := c.Put(k, payload{Note: "x"}); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if err := os.Remove(entryPath(t, c, k)); err != nil {
-		t.Fatal(err)
-	}
-	var out payload
-	hit, err := c.Get(k, &out)
-	if err != nil || hit {
-		t.Fatalf("Get after eviction = (%v, %v), want clean miss", hit, err)
-	}
-	if st := c.Stats(); st.Corrupt != 0 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want a miss and no corruption", st)
+	for name, evict := range map[string]func(dir string) error{
+		"segment": func(dir string) error { return os.Remove(filepath.Join(dir, "seg-1")) },
+		"root":    os.RemoveAll,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			k := baseKey()
+			putAll(t, dir, payload{Note: "x"}, k)
+			if err := evict(dir); err != nil {
+				t.Fatal(err)
+			}
+			c := open(t, dir)
+			var out payload
+			hit, err := c.Get(k, &out)
+			if err != nil || hit {
+				t.Fatalf("Get after eviction = (%v, %v), want clean miss", hit, err)
+			}
+			if st := c.Stats(); st.Corrupt != 0 || st.Misses != 1 {
+				t.Fatalf("stats = %+v, want a miss and no corruption", st)
+			}
+		})
 	}
 }
 
-// TestLayout: entries fan out under two-hex-digit prefix directories and no
-// temp files survive a completed Put.
+// TestLayout: a cache root holds nothing but flat segment files — one per
+// writing Cache, numbered in claim order — and a Cache that only reads
+// creates none.
 func TestLayout(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
 	k := baseKey()
-	if err := c.Put(k, payload{Note: "x"}); err != nil {
-		t.Fatalf("Put: %v", err)
+	other := k
+	other.Seed++
+	putAll(t, dir, payload{Note: "x"}, k, other)
+	var out payload
+	if hit, err := open(t, dir).Get(k, &out); !hit || err != nil {
+		t.Fatalf("Get = (%v, %v), want hit", hit, err)
 	}
-	id := k.ID()
-	if _, err := os.Stat(filepath.Join(dir, id[:2], id+".json")); err != nil {
-		t.Fatalf("entry not at <root>/%s/%s.json: %v", id[:2], id, err)
+	putAll(t, dir, payload{Note: "y"}, other)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var stray []string
-	filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() && strings.HasPrefix(filepath.Base(path), ".put-") {
-			stray = append(stray, path)
+	var names []string
+	for _, e := range ents {
+		if !e.Type().IsRegular() {
+			t.Errorf("%s is not a regular file: segments are flat", e.Name())
 		}
-		return nil
-	})
-	if len(stray) > 0 {
-		t.Fatalf("temp files left behind: %v", stray)
+		names = append(names, e.Name())
+	}
+	if got := strings.Join(names, " "); got != "seg-1 seg-2" {
+		t.Fatalf("cache root holds %q, want \"seg-1 seg-2\"", got)
+	}
+	// seg-2 shadows seg-1's record for other.
+	if hit, err := open(t, dir).Get(other, &out); !hit || err != nil || out.Note != "y" {
+		t.Fatalf("Get(other) = (%v, %v, %+v), want the later record", hit, err, out)
 	}
 }
 
@@ -302,4 +553,234 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 	if _, err := Open(""); err == nil {
 		t.Fatal("Open(\"\") unexpectedly succeeded")
 	}
+}
+
+// TestPutAfterClose: a closed cache refuses to store.
+func TestPutAfterClose(t *testing.T) {
+	c := open(t, t.TempDir())
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(baseKey(), payload{}); err == nil {
+		t.Fatal("Put on a closed cache succeeded")
+	}
+}
+
+// runPayload is the payload the concurrency and fuzz tests store under
+// runKey(seed): a pure function of the key, so any hit can be checked.
+func runPayload(seed int64) payload {
+	return payload{Metrics: map[string]float64{"seed": float64(seed)}, Note: fmt.Sprint("run-", seed)}
+}
+
+func runKey(seed int64) Key {
+	k := baseKey()
+	k.Seed = seed
+	return k
+}
+
+// checkGet looks runKey(seed) up and fails on an error or on a hit whose
+// payload is not the one stored for that key. It reports whether it hit.
+func checkGet(t *testing.T, c *Cache, seed int64) bool {
+	t.Helper()
+	var out payload
+	hit, err := c.Get(runKey(seed), &out)
+	if err != nil {
+		t.Fatalf("Get(seed %d): %v", seed, err)
+	}
+	if hit && !reflect.DeepEqual(out, runPayload(seed)) {
+		t.Fatalf("Get(seed %d) hit with payload %+v, want %+v", seed, out, runPayload(seed))
+	}
+	return hit
+}
+
+// TestConcurrentWriters: two Caches on one root, each Put from several
+// goroutines, store overlapping and disjoint keys while reading each
+// other's keys; a third Open then hits every key with its own payload.
+func TestConcurrentWriters(t *testing.T) {
+	dir := t.TempDir()
+	const (
+		workers = 4
+		shared  = 32 // seeds [0, shared) are stored by both caches
+		own     = 16 // seeds per cache stored by that cache alone
+	)
+	caches := []*Cache{open(t, dir), open(t, dir)}
+	var wg sync.WaitGroup
+	for ci, c := range caches {
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for s := int64(w); s < shared+own; s += workers {
+					seed := s
+					if s >= shared {
+						seed = int64(1000*(ci+1)) + s
+					}
+					if err := c.Put(runKey(seed), runPayload(seed)); err != nil {
+						t.Errorf("Put(seed %d): %v", seed, err)
+						return
+					}
+					var out payload
+					if _, err := c.Get(runKey(s), &out); err != nil {
+						t.Errorf("Get(seed %d): %v", s, err)
+						return
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	for _, c := range caches {
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	c := open(t, dir)
+	for ci := range caches {
+		for s := int64(0); s < shared+own; s++ {
+			seed := s
+			if s >= shared {
+				seed = int64(1000*(ci+1)) + s
+			}
+			if !checkGet(t, c, seed) {
+				t.Errorf("seed %d missed after both writers closed", seed)
+			}
+		}
+	}
+	if st := c.Stats(); st.Corrupt != 0 || st.Misses != 0 {
+		t.Fatalf("stats = %+v, want only hits", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "seg-3")); !os.IsNotExist(err) {
+		t.Fatalf("two writers left more than two segments: stat seg-3 = %v", err)
+	}
+}
+
+// TestIncompleteFinalRecord: a segment cut inside its final record — a Put
+// that never returned, so no table follows — keeps every earlier record and
+// reads the cut one as a plain miss with nothing counted corrupt. The Open
+// that finds it idle compacts it: the complete records move to a segment
+// of its own, which the recomputed record joins.
+func TestIncompleteFinalRecord(t *testing.T) {
+	for name, cut := range map[string]func(seg []byte, last, end int) []byte{
+		"payload": func(seg []byte, _, end int) []byte { return seg[:end-3] },
+		"key":     func(seg []byte, last, _ int) []byte { return seg[:last+headerSize+5] },
+		"header":  func(seg []byte, last, _ int) []byte { return seg[:last+headerSize-7] },
+		"magic":   func(seg []byte, last, _ int) []byte { return seg[:last+2] },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			starts, end := writeSegment(t, dir, 1, 2, 3)
+			damageSegment(t, dir, end, func(b []byte, end int) []byte { return cut(b, int(starts[2]), end) })
+
+			c := open(t, dir)
+			if !checkGet(t, c, 1) || !checkGet(t, c, 2) {
+				t.Fatal("records before the cut were lost")
+			}
+			if checkGet(t, c, 3) {
+				t.Fatal("incomplete final record served as a hit")
+			}
+			if st := c.Stats(); st.Corrupt != 0 || st.Misses != 1 {
+				t.Fatalf("stats = %+v, want 1 miss and 0 corrupt", st)
+			}
+			if err := c.Put(runKey(3), runPayload(3)); err != nil {
+				t.Fatal(err)
+			}
+			c.Close()
+			if got := segmentNames(t, dir); got != "seg-2" {
+				t.Fatalf("root holds %q, want the cut segment compacted into \"seg-2\"", got)
+			}
+			c = open(t, dir)
+			for s := int64(1); s <= 3; s++ {
+				if !checkGet(t, c, s) {
+					t.Fatalf("seed %d missed after compaction", s)
+				}
+			}
+			if st := c.Stats(); st.Corrupt != 0 {
+				t.Fatalf("stats = %+v, want 0 corrupt", st)
+			}
+		})
+	}
+}
+
+// TestOldLayoutIgnored: a root holding only entries of the earlier
+// one-file-per-run layout (<xx>/<id>.json) opens cleanly; every lookup is a
+// miss, nothing is counted corrupt, and the old files are left alone.
+func TestOldLayoutIgnored(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(dir, "3f", strings.Repeat("3f", 32)+".json")
+	if err := os.MkdirAll(filepath.Dir(old), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	body := []byte(`{"key":` + string(runKey(1).bytes()) + `,"payloadSha256":"00","payload":{"note":"old"}}`)
+	if err := os.WriteFile(old, body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := open(t, dir)
+	for s := int64(0); s < 4; s++ {
+		if checkGet(t, c, s) {
+			t.Fatalf("seed %d hit in an old-layout root", s)
+		}
+	}
+	if st := c.Stats(); st.Corrupt != 0 || st.Misses != 4 {
+		t.Fatalf("stats = %+v, want 4 misses and 0 corrupt", st)
+	}
+	if err := c.Put(runKey(1), runPayload(1)); err != nil {
+		t.Fatal(err)
+	}
+	if !checkGet(t, c, 1) {
+		t.Fatal("Put into an old-layout root did not read back")
+	}
+	if after, err := os.ReadFile(old); err != nil || string(after) != string(body) {
+		t.Fatalf("old entry touched: %v", err)
+	}
+}
+
+// FuzzSegment feeds arbitrary bytes to the reader as a segment. Open and
+// Get must never panic, and a hit may only ever return the payload that was
+// Put under that key. The seed corpus is real segments: the fuzzer mutates
+// outward from the format writers produce. After the fuzzed segment, every
+// key is stored again, and a fresh Open must serve all of them — damage
+// costs one recomputation, never more.
+func FuzzSegment(f *testing.F) {
+	dir := f.TempDir()
+	c, err := Open(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for s := int64(0); s < 3; s++ {
+		if err := c.Put(runKey(s), runPayload(s)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	c.Close()
+	seg, err := os.ReadFile(filepath.Join(dir, "seg-1"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seg)
+	f.Add(seg[:len(seg)-5])
+	f.Add(append(append([]byte(nil), seg...), seg...))
+	f.Add([]byte{})
+	f.Add([]byte(magic))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "seg-1"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c := open(t, dir)
+		for s := int64(0); s < 4; s++ {
+			checkGet(t, c, s)
+			if err := c.Put(runKey(s), runPayload(s)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Close()
+		c = open(t, dir)
+		for s := int64(0); s < 4; s++ {
+			if !checkGet(t, c, s) {
+				t.Fatalf("seed %d missed after it was stored again", s)
+			}
+		}
+	})
 }

@@ -169,11 +169,8 @@ func registerBuiltinAttacks() struct{} {
 	return struct{}{}
 }
 
-// paramPeriod reads the periodMs knob, falling back to def.
+// paramPeriod reads the periodMs knob, falling back to def. Spec.Validate
+// has checked that a declared period is at least 1 ms.
 func paramPeriod(p Params, def time.Duration) time.Duration {
-	ms := p.Get("periodMs", float64(def/time.Millisecond))
-	if ms <= 0 {
-		return def
-	}
-	return time.Duration(ms * float64(time.Millisecond))
+	return time.Duration(p.Get("periodMs", float64(def/time.Millisecond)) * float64(time.Millisecond))
 }

@@ -296,6 +296,28 @@ func TestParseSpecHardening(t *testing.T) {
 			field:  "attacks[0]",
 			reason: "fractions",
 		},
+		{
+			name: "one-millisecond attack period accepted",
+			doc:  `{"attacks":[{"name":"deauth-flood","startFrac":0,"stopFrac":1,"params":{"periodMs":1}}]}`,
+		},
+		{
+			name:   "sub-millisecond attack period rejected",
+			doc:    `{"attacks":[{"name":"deauth-flood","startFrac":0,"stopFrac":1,"params":{"periodMs":0.001}}]}`,
+			field:  "attacks[0].params.periodMs",
+			reason: "at least 1 ms",
+		},
+		{
+			name:   "period that truncates to a zero duration rejected",
+			doc:    `{"attacks":[{"name":"replay","startFrac":0,"stopFrac":1,"params":{"periodMs":1e-7}}]}`,
+			field:  "attacks[0].params.periodMs",
+			reason: "at least 1 ms",
+		},
+		{
+			name:   "zero attack period rejected",
+			doc:    `{"attacks":[{"name":"gnss-jam","startFrac":0,"stopFrac":1},{"name":"command-injection","params":{"periodMs":0}}]}`,
+			field:  "attacks[1].params.periodMs",
+			reason: "at least 1 ms",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

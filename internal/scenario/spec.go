@@ -192,7 +192,8 @@ func (s Spec) Config(seed int64) worksite.Config {
 
 // Validate checks the scenario-level invariants: a declared horizon is
 // positive, every scheduled attack is a registered class, schedule entries
-// are unique per class, and window fractions are sane. Failures are typed
+// are unique per class, window fractions are sane, and a declared periodMs
+// is at least 1 ms. Failures are typed
 // *SpecError values naming the offending field. Worksite-level values
 // (grid, timing, densities) are validated by worksite.Config.Validate when
 // the spec is built.
@@ -215,9 +216,19 @@ func (s Spec) Validate() error {
 			return specErrorf(fmt.Sprintf("attacks[%d]", i),
 				"(%s): window fractions must be in [0,1], got start=%v stop=%v", a.Name, a.StartFrac, a.StopFrac)
 		}
+		// A flood period is one scheduled frame per period, so a sub-ms
+		// period makes a run arbitrarily slow, and one under 1e-6 ms is a
+		// zero Duration.
+		if ms, ok := a.Params["periodMs"]; ok && !(ms >= minPeriodMs) {
+			return specErrorf(fmt.Sprintf("attacks[%d].params.periodMs", i),
+				"(%s): attack period must be at least %v ms, got %v", a.Name, minPeriodMs, ms)
+		}
 	}
 	return nil
 }
+
+// minPeriodMs is the shortest attack period a spec may declare.
+const minPeriodMs = 1
 
 // Parse decodes a JSON spec on top of the baseline, so partial files only
 // state what they change from the E1 scenario.

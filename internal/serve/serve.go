@@ -107,8 +107,9 @@ type Config struct {
 	// CacheDir, when non-empty, roots a content-addressed result cache
 	// shared by every sweep the daemon runs: completed (scenario, profile,
 	// seed) runs are stored there and repeated sweeps are served from disk,
-	// with per-sweep cached-run counts reported in progress. Empty disables
-	// caching.
+	// with per-sweep cached-run counts reported in progress. A sweep sees
+	// the runs stored before it started, not those of sweeps running
+	// alongside it. Empty disables caching.
 	CacheDir string
 	// Logger receives structured request and job-lifecycle logs; nil
 	// discards them.
