@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"runtime"
@@ -266,11 +265,14 @@ func (r *Result) Table() *report.Table {
 	return t
 }
 
-// JSON renders the result as indented JSON. Map keys marshal sorted, and no
-// wall-clock data is included, so the export is byte-reproducible for a fixed
-// seed set.
+// JSON renders the result as indented JSON: the bytes
+// json.MarshalIndent(r, "", "  ") returns, written without reflection by
+// the append encoder the sweep export shares (exportJSON), which falls back
+// to MarshalIndent for a string it does not cover. Map keys are sorted, and
+// no wall-clock data is included, so the export is byte-reproducible for a
+// fixed seed set.
 func (r *Result) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
+	return exportJSON(r, resultSize(r), func(w *jsonWriter) { w.result(r) })
 }
 
 // RunAll campaigns each experiment in turn over the same seed range. The

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -406,24 +405,6 @@ type cellRef struct {
 	batch    *scenario.Batch
 }
 
-// runRecord is the serialized form of one completed run: the payload the
-// result cache and the checkpoint store hold. It mirrors SeedRun minus the
-// seed (the key carries it), so a stored record reconstructs the exact
-// Outcome byte for byte.
-type runRecord struct {
-	Metrics     map[string]float64 `json:"metrics"`
-	Timeseries  []TimePoint        `json:"timeseries,omitempty"`
-	StoppedAtNs int64              `json:"stoppedAtNs,omitempty"`
-}
-
-func (r runRecord) outcome() Outcome {
-	return Outcome{Metrics: r.Metrics, Timeseries: r.Timeseries, StoppedAt: time.Duration(r.StoppedAtNs)}
-}
-
-func recordOf(out Outcome) runRecord {
-	return runRecord{Metrics: out.Metrics, Timeseries: out.Timeseries, StoppedAtNs: int64(out.StoppedAt)}
-}
-
 // runCell satisfies one (scenario, profile, seed) run: from the checkpoint
 // store, the result cache, or a fresh simulation — in that order. Both
 // stores are resultcache.Caches addressed by the same key, so a fresh result
@@ -440,20 +421,18 @@ func (e *sweepEnv) runCell(ctx context.Context, cell cellRef, p Params) (Outcome
 		Engine:     version.Engine,
 	}
 	if e.ckpt != nil {
-		var rec runRecord
-		hit, err := e.ckpt.Get(key, &rec)
+		out, hit, err := lookup(e.ckpt, key)
 		if err != nil {
 			return Outcome{}, err
 		}
 		if hit {
 			e.stats.resumed.Add(1)
 			e.done()
-			return rec.outcome(), nil
+			return out, nil
 		}
 	}
 	if e.cache != nil {
-		var rec runRecord
-		hit, err := e.cache.Get(key, &rec)
+		out, hit, err := lookup(e.cache, key)
 		if err != nil {
 			return Outcome{}, err
 		}
@@ -463,7 +442,7 @@ func (e *sweepEnv) runCell(ctx context.Context, cell cellRef, p Params) (Outcome
 			if e.opts.OnRunCached != nil {
 				e.opts.OnRunCached()
 			}
-			return rec.outcome(), nil
+			return out, nil
 		}
 	}
 
@@ -471,10 +450,10 @@ func (e *sweepEnv) runCell(ctx context.Context, cell cellRef, p Params) (Outcome
 	if err != nil {
 		return Outcome{}, err
 	}
-	rec := recordOf(out)
+	rec := appendRunRecord(nil, out)
 	for _, store := range [...]*resultcache.Cache{e.cache, e.ckpt} {
 		if store != nil {
-			if err := store.Put(key, rec); err != nil {
+			if err := store.PutBytes(key, rec); err != nil {
 				return Outcome{}, err
 			}
 		}
@@ -482,6 +461,15 @@ func (e *sweepEnv) runCell(ctx context.Context, cell cellRef, p Params) (Outcome
 	e.stats.executed.Add(1)
 	e.done()
 	return out, nil
+}
+
+// lookup reads the run record stored under key.
+func lookup(store *resultcache.Cache, key resultcache.Key) (out Outcome, hit bool, err error) {
+	hit, err = store.GetBytes(key, func(payload []byte) (err error) {
+		out, err = decodeRunRecord(payload)
+		return err
+	})
+	return out, hit, err
 }
 
 func (e *sweepEnv) done() {
@@ -534,11 +522,12 @@ func SweepMetrics(rep worksite.Report) map[string]float64 {
 		"tracks_confirmed":  float64(m.TracksConfirmed),
 		"false_alarms":      float64(m.FalseAlarms),
 	}
-	var alerts float64
+	// An integer sum is exact in any map order; it converts once.
+	alerts := 0
 	for _, n := range rep.Alerts {
-		alerts += float64(n)
+		alerts += n
 	}
-	out["alerts_total"] = alerts
+	out["alerts_total"] = float64(alerts)
 	return out
 }
 
@@ -570,9 +559,12 @@ func (r *SweepResult) Table() *report.Table {
 	return t
 }
 
-// JSON renders the sweep as indented JSON. Like the single-experiment
-// export, it contains no wall-clock data, so a fixed seed set produces
-// byte-identical bytes regardless of Parallel.
+// JSON renders the sweep as indented JSON: the bytes
+// json.MarshalIndent(r, "", "  ") returns, written by the append encoder
+// (*Result).JSON shares (exportJSON), which falls back to MarshalIndent for
+// a string it does not cover. Like the single-experiment export, it
+// contains no wall-clock data, so a fixed seed set produces byte-identical
+// bytes regardless of Parallel.
 func (r *SweepResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
+	return exportJSON(r, sweepSize(r), func(w *jsonWriter) { w.sweep(r) })
 }

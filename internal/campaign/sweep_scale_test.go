@@ -19,6 +19,8 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/resultcache"
+	"repro/internal/scenario"
 	"repro/internal/shard"
 	"repro/internal/version"
 )
@@ -182,8 +184,8 @@ func TestCacheCorruptEntryRecomputed(t *testing.T) {
 }
 
 // flipPayloadBit damages one of the 16 records of a result-cache directory:
-// it flips one bit inside the payload of the segment's last record, where
-// only the checksum catches it.
+// it flips one bit inside the binary run record that is the payload of the
+// segment's last record, where only the checksum catches it.
 func flipPayloadBit(t *testing.T, dir string) {
 	t.Helper()
 	segs, err := filepath.Glob(filepath.Join(dir, "seg-*"))
@@ -200,12 +202,93 @@ func flipPayloadBit(t *testing.T, dir string) {
 	if n := bytes.Count(b, []byte(`"specHash"`)); n != 16 {
 		t.Fatalf("%s holds %d records, want 16", segs[0], n)
 	}
-	// The last record's key ends at the first '}' after its "engine"
-	// field; its payload follows, and the segment's table after that.
+	// The last record's key, canonical JSON, ends at the first '}' after
+	// its "engine" field; its payload follows (10 bytes in is the metric
+	// count), and the segment's table after that.
 	key := bytes.LastIndex(b, []byte(`"engine":`))
 	b[key+bytes.IndexByte(b[key:], '}')+10] ^= 0x01
 	if err := os.WriteFile(segs[0], b, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJSONPayloadRecordsMiss: a cache whose records hold the JSON run
+// payload written before run records became binary — under the same keys
+// — serves none of them and counts none corrupt: every run is a plain
+// miss and is recomputed with byte-identical output, and the next sweep
+// hits every recomputed record.
+func TestJSONPayloadRecordsMiss(t *testing.T) {
+	opts := scaleOpts()
+	res, err := campaign.Sweep(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := res.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	c, err := resultcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The earlier payload: the run's JSON object {"metrics":{...}}.
+	type jsonRecord struct {
+		Metrics map[string]float64 `json:"metrics"`
+	}
+	var keys []resultcache.Key
+	for _, cell := range res.Cells {
+		spec, err := scenario.Get(cell.Scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, err := scenario.ResolveProfile(cell.Profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hash, err := spec.WithProfile(prof).Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range cell.Result.PerSeed {
+			k := resultcache.Key{SpecHash: hash, Profile: cell.Profile, Seed: run.Seed,
+				DurationNs: int64(opts.Duration), Engine: version.Engine}
+			if err := c.Put(k, jsonRecord{run.Metrics}); err != nil {
+				t.Fatal(err)
+			}
+			keys = append(keys, k)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The JSON records sit under the very keys the sweep looks up.
+	c, err = resultcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		var rec jsonRecord
+		if hit, err := c.Get(k, &rec); !hit || err != nil {
+			t.Fatalf("JSON record of seed %d: Get = (%v, %v), want a hit", k.Seed, hit, err)
+		}
+	}
+	c.Close()
+
+	var first, second campaign.SweepStats
+	opts.CacheDir, opts.Stats = dir, &first
+	if got := sweepBytes(t, opts); !bytes.Equal(got, plain) {
+		t.Fatal("output over JSON-payload records differs from the plain sweep")
+	}
+	if v := first.View(); v.CacheMisses != 16 || v.CacheCorrupt != 0 || v.Executed != 16 || v.CacheHits != 0 {
+		t.Fatalf("first sweep stats = %+v, want 16 misses, 0 corrupt, 16 executed", v)
+	}
+	opts.Stats = &second
+	if got := sweepBytes(t, opts); !bytes.Equal(got, plain) {
+		t.Fatal("output from the recomputed records differs from the plain sweep")
+	}
+	if v := second.View(); v.CacheHits != 16 || v.Executed != 0 || v.CacheCorrupt != 0 {
+		t.Fatalf("second sweep stats = %+v, want 16 hits", v)
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package jsonenc holds the append-style primitives of the hand-written
 // JSON encoders on the simulation's hot paths (the worksite wire codec and
-// the trace line encoder). Each primitive appends exactly the bytes
+// the trace line encoder, the campaign result export and the result-cache
+// key). Each primitive appends exactly the bytes
 // encoding/json emits for the same value, with Marshal's default HTML
 // escaping. The fallible ones take and return an ok flag, cleared for the
 // inputs they do not cover: an encoder threads one flag through a whole
@@ -11,6 +12,7 @@ package jsonenc
 import (
 	"math"
 	"strconv"
+	"unicode/utf8"
 )
 
 // AppendString appends s as a JSON string. It covers printable ASCII that
@@ -24,6 +26,33 @@ func AppendString(dst []byte, s string, ok bool) ([]byte, bool) {
 		case c < 0x20 || c > 0x7e, c == '"', c == '\\', c == '<', c == '>', c == '&':
 			return dst, false
 		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	dst = append(dst, '"')
+	return dst, ok
+}
+
+// AppendText appends s as a JSON string, like AppendString, and also
+// covers non-ASCII text: any valid UTF-8 that encoding/json copies
+// unchanged. Invalid UTF-8, U+2028, U+2029 and the ASCII bytes AppendString
+// rejects, except DEL, clear ok. AppendString stays the variant for the
+// tick's short ASCII names because the compiler inlines it.
+func AppendText(dst []byte, s string, ok bool) ([]byte, bool) {
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			r, n := utf8.DecodeRuneInString(s[i:])
+			if r == utf8.RuneError && n == 1 || r == '\u2028' || r == '\u2029' {
+				return dst, false
+			}
+			i += n
+			continue
+		}
+		if c < 0x20 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return dst, false
+		}
+		i++
 	}
 	dst = append(dst, '"')
 	dst = append(dst, s...)

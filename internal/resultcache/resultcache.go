@@ -6,6 +6,14 @@
 // named early-stop predicate and the engine version — so two runs share an
 // entry exactly when the engine guarantees them byte-identical results.
 //
+// Payloads are opaque bytes: PutBytes stores what the caller encoded, and
+// GetBytes hands a verified payload to the caller's decoder. A payload the
+// decoder rejects is counted corrupt, like a failed checksum, unless the
+// decoder reports ErrOtherFormat: a record written in a payload format it
+// does not read (an older one, say) is a plain miss, and the record the
+// caller then stores shadows it. Put and Get wrap the two with an
+// encoding/json payload.
+//
 // Layout: the root holds append-only segment files named seg-<n>. Every
 // Cache that stores anything claims its own segment, the next free sequence
 // number created with O_EXCL, and holds an advisory lock on it until Close,
@@ -14,7 +22,7 @@
 // written with one append:
 //
 //	magic "wsr1" | key length u32 | payload length u32 | SHA-256 [32]byte | CRC-32C u32
-//	key bytes (the Key's canonical JSON) | payload bytes (JSON)
+//	key bytes (the Key's canonical JSON) | payload bytes
 //
 // where the integers are little-endian, the SHA-256 covers the key bytes
 // followed by the payload bytes, and the CRC-32C covers the 44 header bytes
@@ -35,7 +43,7 @@
 // later record for a key shadows an earlier one, and Put indexes its own
 // records as it appends them. A Get is a map lookup, one read of 64 table
 // entries per table that may hold the key, one ReadAt of the record, the
-// header, key and checksum checks, and one decode of the payload.
+// header, key and checksum checks, and the caller's decode of the payload.
 //
 // Compaction bounds the segment count. When Open finds compactAt or more
 // non-empty segments that no live Cache holds locked, or one such segment
@@ -101,6 +109,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/jsonenc"
 )
 
 // Key addresses one cached run. Every field participates in the content
@@ -126,17 +136,36 @@ type Key struct {
 	Engine string `json:"engine"`
 }
 
-// bytes returns the key's canonical JSON: the record's address in the
-// index and the key part of its on-disk record. Changing any key field
-// changes the bytes.
-func (k Key) bytes() []byte {
-	b, err := json.Marshal(k)
+// appendBytes appends the key's canonical bytes, json.Marshal(k), to dst:
+// the record's address in the index and the key part of its on-disk
+// record. Changing any key field changes the bytes. They are built with
+// jsonenc appends; a string those do not cover falls back to json.Marshal.
+func (k Key) appendBytes(dst []byte) []byte {
+	b, ok := append(dst, `{"specHash":`...), true
+	b, ok = jsonenc.AppendText(b, k.SpecHash, ok)
+	b = append(b, `,"profile":`...)
+	b, ok = jsonenc.AppendText(b, k.Profile, ok)
+	b = strconv.AppendInt(append(b, `,"seed":`...), k.Seed, 10)
+	b = strconv.AppendInt(append(b, `,"durationNs":`...), k.DurationNs, 10)
+	b = strconv.AppendInt(append(b, `,"sampleNs":`...), k.SampleNs, 10)
+	b = append(b, `,"earlyStop":`...)
+	b, ok = jsonenc.AppendText(b, k.EarlyStop, ok)
+	b = append(b, `,"engine":`...)
+	b, ok = jsonenc.AppendText(b, k.Engine, ok)
+	if ok {
+		return append(b, '}')
+	}
+	m, err := json.Marshal(k)
 	if err != nil {
 		// A struct of strings and ints cannot fail to marshal.
 		panic("resultcache: marshal key: " + err.Error())
 	}
-	return b
+	return append(dst, m...)
 }
+
+// keyBufLen is the stack room GetBytes and PutBytes give the key's bytes;
+// canonical keys of a sweep are about 190 bytes.
+const keyBufLen = 256
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
@@ -186,15 +215,15 @@ func putHeader(hdr []byte, mag string, klen, plen int, sum [sha256.Size]byte) {
 	binary.LittleEndian.PutUint32(hdr[headerSize-4:], crc(hdr[:headerSize-4]))
 }
 
-// parseHeader returns the magic and the two lengths of a record or table
-// header, or false when the header is damaged.
-func parseHeader(hdr []byte) (mag string, klen, plen uint32, ok bool) {
-	mag = string(hdr[:len(magic)])
-	if mag != magic && mag != tableMagic ||
+// parseHeader reports whether a record or table header is a table's, and
+// returns its two lengths, or false when the header is damaged.
+func parseHeader(hdr []byte) (isTable bool, klen, plen uint32, ok bool) {
+	isTable = string(hdr[:len(tableMagic)]) == tableMagic
+	if !isTable && string(hdr[:len(magic)]) != magic ||
 		crc(hdr[:headerSize-4]) != binary.LittleEndian.Uint32(hdr[headerSize-4:]) {
-		return "", 0, 0, false
+		return false, 0, 0, false
 	}
-	return mag, binary.LittleEndian.Uint32(hdr[4:]), binary.LittleEndian.Uint32(hdr[8:]), true
+	return isTable, binary.LittleEndian.Uint32(hdr[4:]), binary.LittleEndian.Uint32(hdr[8:]), true
 }
 
 // keyHash is the 64-bit FNV-1a hash of canonical key bytes, the order of a
@@ -469,12 +498,12 @@ func (c *Cache) scan(seg *segment, size int64) (bad bool, err error) {
 		if err != nil {
 			return false, err
 		}
-		mag, klen, plen, ok := parseHeader(hdr)
-		if !ok || mag == magic && (klen == 0 || klen > maxKeyLen) {
+		isTable, klen, plen, ok := parseHeader(hdr)
+		if !ok || !isTable && (klen == 0 || klen > maxKeyLen) {
 			c.corrupt.Add(1)
 			return true, nil
 		}
-		if mag == tableMagic {
+		if isTable {
 			return false, nil // the records end where a table begins
 		}
 		l := loc{seg: seg, off: off, klen: klen, plen: plen}
@@ -526,8 +555,8 @@ func (c *Cache) find(kb []byte) (loc, bool, error) {
 // intact reports whether b, the bytes at l, is an undamaged record: a
 // well-formed header with l's lengths and a matching checksum.
 func intact(b []byte, l loc) bool {
-	mag, klen, plen, ok := parseHeader(b)
-	return ok && mag == magic && klen == l.klen && plen == l.plen &&
+	isTable, klen, plen, ok := parseHeader(b)
+	return ok && !isTable && klen == l.klen && plen == l.plen &&
 		sha256.Sum256(b[headerSize:]) == [sha256.Size]byte(b[12:])
 }
 
@@ -628,14 +657,26 @@ func (c *Cache) compact(idle []*segment) bool {
 // Root returns the cache's root directory.
 func (c *Cache) Root() string { return c.root }
 
-// Get looks k up and, on a verified hit, unmarshals the stored payload into
-// into and returns true. A key with no complete record is a miss (false,
-// nil). A damaged record — header or checksum mismatch, or a payload that
-// no longer unmarshals — is counted corrupt, marked gone, and reported as a
-// miss: callers always recompute rather than trust it, and the record they
-// store next shadows it. A non-nil error is an I/O failure, not a miss.
-func (c *Cache) Get(k Key, into any) (bool, error) {
-	kb := k.bytes()
+// ErrOtherFormat is what a GetBytes decoder returns for a payload written in
+// a format it does not read: the Get is a miss, and nothing is counted
+// corrupt.
+var ErrOtherFormat = errors.New("resultcache: payload in another format")
+
+// readBufs recycles the record buffers of GetBytes.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// GetBytes looks k up and, on a verified hit, hands the stored payload to
+// decode and returns true. The payload is valid only during the call:
+// decode must copy what it keeps. A key with no complete record is a miss
+// (false, nil), and so is a record whose payload decode rejects with
+// ErrOtherFormat. A damaged record — header or checksum mismatch, or a
+// payload decode rejects with any other error — is counted corrupt. Either
+// way the record is marked gone and reported as a miss: callers always
+// recompute rather than trust it, and the record they store next shadows
+// it. A non-nil error is an I/O failure, not a miss.
+func (c *Cache) GetBytes(k Key, decode func(payload []byte) error) (bool, error) {
+	var kbuf [keyBufLen]byte
+	kb := k.appendBytes(kbuf[:0])
 	l, ok, err := c.find(kb)
 	if err != nil {
 		return false, err
@@ -644,7 +685,10 @@ func (c *Cache) Get(k Key, into any) (bool, error) {
 		c.misses.Add(1)
 		return false, nil
 	}
-	b := make([]byte, l.size())
+	bp := readBufs.Get().(*[]byte)
+	defer readBufs.Put(bp)
+	b := slices.Grow((*bp)[:0], int(l.size()))[:l.size()]
+	*bp = b
 	if _, err := l.seg.f.ReadAt(b, l.off); err != nil {
 		if err != io.EOF {
 			return false, fmt.Errorf("resultcache: read %s: %w", l.seg.name, err)
@@ -664,13 +708,23 @@ func (c *Cache) Get(k Key, into any) (bool, error) {
 		c.misses.Add(1)
 		return false, nil
 	}
-	if json.Unmarshal(b[headerSize+l.klen:], into) != nil {
+	if err := decode(b[headerSize+l.klen:]); err != nil {
 		c.drop(kb, l)
-		c.corrupt.Add(1)
+		if errors.Is(err, ErrOtherFormat) {
+			c.misses.Add(1)
+		} else {
+			c.corrupt.Add(1)
+		}
 		return false, nil
 	}
 	c.hits.Add(1)
 	return true, nil
+}
+
+// Get is GetBytes with a decoder that unmarshals the payload, as JSON, into
+// into.
+func (c *Cache) Get(k Key, into any) (bool, error) {
+	return c.GetBytes(k, func(payload []byte) error { return json.Unmarshal(payload, into) })
 }
 
 // drop marks a record that failed to read gone, unless a Put has already
@@ -684,22 +738,29 @@ func (c *Cache) drop(kb []byte, l loc) {
 	c.mu.Unlock()
 }
 
-// Put stores payload under k with one append to the Cache's own segment,
-// claimed on the first Put, and indexes the record so later Gets on this
-// Cache see it. A Put that fails leaves at most an incomplete final record,
-// which every reader treats as a miss; the next Put claims a fresh segment.
+// Put is PutBytes of payload's JSON encoding.
 func (c *Cache) Put(k Key, payload any) error {
 	pb, err := json.Marshal(payload)
 	if err != nil {
 		return fmt.Errorf("resultcache: marshal payload: %w", err)
 	}
-	kb := k.bytes()
-	if len(kb) > maxKeyLen || int64(len(pb)) > math.MaxUint32 {
-		return fmt.Errorf("resultcache: record too large for its header (key %d B, payload %d B)", len(kb), len(pb))
+	return c.PutBytes(k, pb)
+}
+
+// PutBytes stores payload under k with one append to the Cache's own
+// segment, claimed on the first Put, and indexes the record so later Gets
+// on this Cache see it. A Put that fails leaves at most an incomplete final
+// record, which every reader treats as a miss; the next Put claims a fresh
+// segment.
+func (c *Cache) PutBytes(k Key, payload []byte) error {
+	var kbuf [keyBufLen]byte
+	kb := k.appendBytes(kbuf[:0])
+	if len(kb) > maxKeyLen || int64(len(payload)) > math.MaxUint32 {
+		return fmt.Errorf("resultcache: record too large for its header (key %d B, payload %d B)", len(kb), len(payload))
 	}
-	rec := make([]byte, headerSize, headerSize+len(kb)+len(pb))
-	rec = append(append(rec, kb...), pb...)
-	putHeader(rec, magic, len(kb), len(pb), sha256.Sum256(rec[headerSize:]))
+	rec := make([]byte, headerSize, headerSize+len(kb)+len(payload))
+	rec = append(append(rec, kb...), payload...)
+	putHeader(rec, magic, len(kb), len(payload), sha256.Sum256(rec[headerSize:]))
 
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -713,7 +774,7 @@ func (c *Cache) Put(k Key, payload any) error {
 		c.own = nil
 		return fmt.Errorf("resultcache: append %s: %w", name, err)
 	}
-	l := loc{seg: c.own, off: c.end, klen: uint32(len(kb)), plen: uint32(len(pb))}
+	l := loc{seg: c.own, off: c.end, klen: uint32(len(kb)), plen: uint32(len(payload))}
 	c.end += int64(len(rec))
 	c.mu.Lock()
 	c.index[string(kb)] = l

@@ -7,20 +7,18 @@ package resultcache
 // one root; and compaction keeps every record a Cache could serve.
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
 )
-
-type payload struct {
-	Metrics map[string]float64 `json:"metrics"`
-	Note    string             `json:"note,omitempty"`
-}
 
 func baseKey() Key {
 	return Key{
@@ -34,22 +32,30 @@ func baseKey() Key {
 	}
 }
 
-// TestRoundTrip: Put then Get returns the exact payload and counts one
-// store, one hit.
+// get looks k up with a decoder that copies the payload out.
+func get(c *Cache, k Key) (payload []byte, hit bool, err error) {
+	hit, err = c.GetBytes(k, func(b []byte) error {
+		payload = append([]byte(nil), b...)
+		return nil
+	})
+	return payload, hit, err
+}
+
+// TestRoundTrip: PutBytes then GetBytes hands the decoder the exact payload
+// and counts one store, one hit.
 func TestRoundTrip(t *testing.T) {
 	c := open(t, t.TempDir())
 	k := baseKey()
-	in := payload{Metrics: map[string]float64{"logs": 12, "collisions": 0}, Note: "x"}
-	if err := c.Put(k, in); err != nil {
-		t.Fatalf("Put: %v", err)
+	in := []byte("\x00\x01opaque\xff")
+	if err := c.PutBytes(k, in); err != nil {
+		t.Fatalf("PutBytes: %v", err)
 	}
-	var out payload
-	hit, err := c.Get(k, &out)
+	out, hit, err := get(c, k)
 	if err != nil || !hit {
-		t.Fatalf("Get = (%v, %v), want hit", hit, err)
+		t.Fatalf("GetBytes = (%v, %v), want hit", hit, err)
 	}
-	if out.Note != in.Note || out.Metrics["logs"] != 12 || out.Metrics["collisions"] != 0 {
-		t.Fatalf("payload mismatch: got %+v", out)
+	if !bytes.Equal(out, in) {
+		t.Fatalf("payload mismatch: got %q, want %q", out, in)
 	}
 	st := c.Stats()
 	if st.Stored != 1 || st.Hits != 1 || st.Misses != 0 || st.Corrupt != 0 {
@@ -57,11 +63,107 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJSONPayloads: Put and Get round-trip a value through encoding/json,
+// and a stored payload that does not unmarshal is counted corrupt.
+func TestJSONPayloads(t *testing.T) {
+	type record struct {
+		Metrics map[string]float64 `json:"metrics"`
+		Note    string             `json:"note,omitempty"`
+	}
+	c := open(t, t.TempDir())
+	k := baseKey()
+	in := record{Metrics: map[string]float64{"logs": 12, "collisions": 0}, Note: "x"}
+	if err := c.Put(k, in); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	var out record
+	if hit, err := c.Get(k, &out); err != nil || !hit {
+		t.Fatalf("Get = (%v, %v), want hit", hit, err)
+	}
+	if out.Note != in.Note || out.Metrics["logs"] != 12 || len(out.Metrics) != 2 {
+		t.Fatalf("payload mismatch: got %+v", out)
+	}
+	if err := c.Put(k, math.NaN()); err == nil {
+		t.Fatal("Put of a value encoding/json rejects succeeded")
+	}
+	other := runKey(99)
+	if err := c.PutBytes(other, []byte("not json")); err != nil {
+		t.Fatal(err)
+	}
+	if hit, err := c.Get(other, &out); hit || err != nil {
+		t.Fatalf("Get of a non-JSON payload = (%v, %v), want a miss", hit, err)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Corrupt != 1 {
+		t.Fatalf("stats = %+v, want 1 hit and 1 corrupt", st)
+	}
+}
+
+// TestDecodeRejects: a payload the caller's decoder rejects is counted
+// corrupt, and one it reports as ErrOtherFormat is a plain miss; either
+// way the record reads as a miss from then on, and the record stored
+// next is served.
+func TestDecodeRejects(t *testing.T) {
+	for name, tc := range map[string]struct {
+		err                 error
+		wantCorrupt, misses int64
+	}{
+		"damaged":      {errors.New("bad payload"), 1, 1},
+		"other format": {fmt.Errorf("version 0: %w", ErrOtherFormat), 0, 2},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := open(t, t.TempDir())
+			k := baseKey()
+			if err := c.PutBytes(k, []byte("old")); err != nil {
+				t.Fatal(err)
+			}
+			calls := 0
+			reject := func([]byte) error { calls++; return tc.err }
+			for i := 0; i < 2; i++ {
+				if hit, err := c.GetBytes(k, reject); hit || err != nil {
+					t.Fatalf("Get %d = (%v, %v), want a miss", i, hit, err)
+				}
+			}
+			if st := c.Stats(); calls != 1 || st.Corrupt != tc.wantCorrupt || st.Misses != tc.misses {
+				t.Fatalf("%d decodes, stats %+v: want 1 decode, %d corrupt and %d misses",
+					calls, st, tc.wantCorrupt, tc.misses)
+			}
+			if err := c.PutBytes(k, []byte("new")); err != nil {
+				t.Fatal(err)
+			}
+			if out, hit, err := get(c, k); !hit || err != nil || string(out) != "new" {
+				t.Fatalf("Get after the re-Put = (%q, %v, %v), want the new record", out, hit, err)
+			}
+		})
+	}
+}
+
+// TestKeyBytes: the key bytes built by appends equal json.Marshal(k), the
+// address every earlier record was stored under, for plain keys and for
+// keys whose strings take the encoding/json fallback.
+func TestKeyBytes(t *testing.T) {
+	keys := []Key{
+		{},
+		baseKey(),
+		{SpecHash: "日本—ß", Profile: "\u00a0", Seed: math.MinInt64, DurationNs: math.MaxInt64, SampleNs: -1,
+			EarlyStop: "first-alert", Engine: "0.9.0+dirty"},
+		{Profile: "a<b>&c", EarlyStop: "quote\"back\\slash", Engine: "\n\t\x00\x7f"},
+		{SpecHash: "\xff\xfe", Profile: "\u2028", Engine: "\u2029"},
+	}
+	for _, k := range keys {
+		want, err := json.Marshal(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := k.appendBytes([]byte("prefix")); string(got) != "prefix"+string(want) {
+			t.Errorf("key bytes of %+v:\n got %s\nwant prefix%s", k, got, want)
+		}
+	}
+}
+
 // TestMiss: an absent key is a miss, not an error.
 func TestMiss(t *testing.T) {
 	c := open(t, t.TempDir())
-	var out payload
-	hit, err := c.Get(baseKey(), &out)
+	_, hit, err := get(c, baseKey())
 	if err != nil || hit {
 		t.Fatalf("Get on empty cache = (%v, %v), want clean miss", hit, err)
 	}
@@ -97,9 +199,9 @@ func TestKeySensitivity(t *testing.T) {
 	k.Engine = "0.7.0"
 	variants["engine"] = k
 
-	ids := map[string]string{"": string(base.bytes())}
+	ids := map[string]string{"": string(base.appendBytes(nil))}
 	for field, v := range variants {
-		id := string(v.bytes())
+		id := string(v.appendBytes(nil))
 		if id == ids[""] {
 			t.Errorf("changing %s did not change the key bytes", field)
 		}
@@ -114,12 +216,11 @@ func TestKeySensitivity(t *testing.T) {
 	// And the cache behaves accordingly: an entry stored under the base key
 	// is invisible to every variant.
 	c := open(t, t.TempDir())
-	if err := c.Put(base, payload{Note: "base"}); err != nil {
-		t.Fatalf("Put: %v", err)
+	if err := c.PutBytes(base, []byte("base")); err != nil {
+		t.Fatalf("PutBytes: %v", err)
 	}
 	for field, v := range variants {
-		var out payload
-		hit, err := c.Get(v, &out)
+		_, hit, err := get(c, v)
 		if err != nil {
 			t.Fatalf("Get(%s variant): %v", field, err)
 		}
@@ -142,11 +243,11 @@ func open(t testing.TB, dir string) *Cache {
 
 // putAll opens a cache at dir, stores payload under every key, and closes
 // it, leaving one segment of complete records behind.
-func putAll(t *testing.T, dir string, p payload, keys ...Key) {
+func putAll(t *testing.T, dir string, p []byte, keys ...Key) {
 	t.Helper()
 	c := open(t, dir)
 	for _, k := range keys {
-		if err := c.Put(k, p); err != nil {
+		if err := c.PutBytes(k, p); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
 	}
@@ -173,7 +274,7 @@ func writeSegment(t *testing.T, dir string, seeds ...int64) (starts []int64, end
 	c := open(t, dir)
 	for _, s := range seeds {
 		starts = append(starts, c.end)
-		if err := c.Put(runKey(s), runPayload(s)); err != nil {
+		if err := c.PutBytes(runKey(s), runPayload(s)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -211,12 +312,13 @@ func TestCorruptionDetected(t *testing.T) {
 		"truncated": {func(b []byte, end int) []byte { return b[:end/2] }, 0},
 		"bit-flip": {func(b []byte, end int) []byte {
 			// Flip one bit inside the payload section (past the header and
-			// key), where only the checksum can catch it.
-			b[end-10] ^= 0x01
+			// key: the last 5 bytes, "run-1"), where only the checksum can
+			// catch it.
+			b[end-2] ^= 0x01
 			return b
 		}, 1},
 		"empty":              {func([]byte, int) []byte { return nil }, 0},
-		"not-json":           {func([]byte, int) []byte { return []byte("not an entry at all") }, 1},
+		"not-a-segment":      {func([]byte, int) []byte { return []byte("not an entry at all") }, 1},
 		"truncated-one-byte": {func(b []byte, end int) []byte { return b[:end-1] }, 0},
 	}
 	for name, d := range damage {
@@ -226,8 +328,7 @@ func TestCorruptionDetected(t *testing.T) {
 			damageSegment(t, dir, end, d.mutate)
 
 			c := open(t, dir)
-			var out payload
-			hit, err := c.Get(runKey(1), &out)
+			_, hit, err := get(c, runKey(1))
 			if err != nil {
 				t.Fatalf("Get on damaged record: %v", err)
 			}
@@ -239,7 +340,7 @@ func TestCorruptionDetected(t *testing.T) {
 			}
 			// The damaged record is gone from the index: asking again is a
 			// plain miss, not a second corruption.
-			if hit, err := c.Get(runKey(1), &out); hit || err != nil {
+			if _, hit, err := get(c, runKey(1)); hit || err != nil {
 				t.Fatalf("second Get = (%v, %v), want clean miss", hit, err)
 			}
 			if st := c.Stats(); st.Corrupt != d.wantCorrupt {
@@ -247,7 +348,7 @@ func TestCorruptionDetected(t *testing.T) {
 			}
 			// Recompute path: a fresh Put lands in a later segment and heals
 			// the key for every later Open.
-			if err := c.Put(runKey(1), runPayload(1)); err != nil {
+			if err := c.PutBytes(runKey(1), runPayload(1)); err != nil {
 				t.Fatalf("re-Put: %v", err)
 			}
 			c.Close()
@@ -343,7 +444,7 @@ func segmentNames(t *testing.T, dir string) string {
 func TestCompaction(t *testing.T) {
 	dir := t.TempDir()
 	live := open(t, dir)
-	if err := live.Put(runKey(100), runPayload(100)); err != nil {
+	if err := live.PutBytes(runKey(100), runPayload(100)); err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(1); i <= compactAt; i++ {
@@ -351,7 +452,7 @@ func TestCompaction(t *testing.T) {
 		// Seed 0 is stored by every writer: seven of its records are
 		// shadowed.
 		for _, s := range []int64{i, 0} {
-			if err := c.Put(runKey(s), runPayload(s)); err != nil {
+			if err := c.PutBytes(runKey(s), runPayload(s)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -461,7 +562,7 @@ func TestWrongAddress(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := runKey(99)
-	kb, ob := k.bytes(), other.bytes()
+	kb, ob := k.appendBytes(nil), other.appendBytes(nil)
 	pb := b[headerSize+len(kb) : end]
 	forged := append(append(make([]byte, headerSize), ob...), pb...)
 	putHeader(forged, magic, len(ob), len(pb), [sha256.Size]byte(b[12:]))
@@ -470,8 +571,7 @@ func TestWrongAddress(t *testing.T) {
 	}
 
 	c := open(t, dir)
-	var out payload
-	hit, err := c.Get(other, &out)
+	_, hit, err := get(c, other)
 	if err != nil {
 		t.Fatalf("Get: %v", err)
 	}
@@ -497,13 +597,12 @@ func TestEvictionIsRemove(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			k := baseKey()
-			putAll(t, dir, payload{Note: "x"}, k)
+			putAll(t, dir, []byte("x"), k)
 			if err := evict(dir); err != nil {
 				t.Fatal(err)
 			}
 			c := open(t, dir)
-			var out payload
-			hit, err := c.Get(k, &out)
+			_, hit, err := get(c, k)
 			if err != nil || hit {
 				t.Fatalf("Get after eviction = (%v, %v), want clean miss", hit, err)
 			}
@@ -522,12 +621,11 @@ func TestLayout(t *testing.T) {
 	k := baseKey()
 	other := k
 	other.Seed++
-	putAll(t, dir, payload{Note: "x"}, k, other)
-	var out payload
-	if hit, err := open(t, dir).Get(k, &out); !hit || err != nil {
+	putAll(t, dir, []byte("x"), k, other)
+	if _, hit, err := get(open(t, dir), k); !hit || err != nil {
 		t.Fatalf("Get = (%v, %v), want hit", hit, err)
 	}
-	putAll(t, dir, payload{Note: "y"}, other)
+	putAll(t, dir, []byte("y"), other)
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -543,8 +641,8 @@ func TestLayout(t *testing.T) {
 		t.Fatalf("cache root holds %q, want \"seg-1 seg-2\"", got)
 	}
 	// seg-2 shadows seg-1's record for other.
-	if hit, err := open(t, dir).Get(other, &out); !hit || err != nil || out.Note != "y" {
-		t.Fatalf("Get(other) = (%v, %v, %+v), want the later record", hit, err, out)
+	if out, hit, err := get(open(t, dir), other); !hit || err != nil || string(out) != "y" {
+		t.Fatalf("Get(other) = (%v, %v, %q), want the later record", hit, err, out)
 	}
 }
 
@@ -561,15 +659,15 @@ func TestPutAfterClose(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(baseKey(), payload{}); err == nil {
+	if err := c.PutBytes(baseKey(), nil); err == nil {
 		t.Fatal("Put on a closed cache succeeded")
 	}
 }
 
 // runPayload is the payload the concurrency and fuzz tests store under
 // runKey(seed): a pure function of the key, so any hit can be checked.
-func runPayload(seed int64) payload {
-	return payload{Metrics: map[string]float64{"seed": float64(seed)}, Note: fmt.Sprint("run-", seed)}
+func runPayload(seed int64) []byte {
+	return []byte(fmt.Sprint("run-", seed))
 }
 
 func runKey(seed int64) Key {
@@ -582,13 +680,12 @@ func runKey(seed int64) Key {
 // payload is not the one stored for that key. It reports whether it hit.
 func checkGet(t *testing.T, c *Cache, seed int64) bool {
 	t.Helper()
-	var out payload
-	hit, err := c.Get(runKey(seed), &out)
+	out, hit, err := get(c, runKey(seed))
 	if err != nil {
 		t.Fatalf("Get(seed %d): %v", seed, err)
 	}
-	if hit && !reflect.DeepEqual(out, runPayload(seed)) {
-		t.Fatalf("Get(seed %d) hit with payload %+v, want %+v", seed, out, runPayload(seed))
+	if hit && !bytes.Equal(out, runPayload(seed)) {
+		t.Fatalf("Get(seed %d) hit with payload %q, want %q", seed, out, runPayload(seed))
 	}
 	return hit
 }
@@ -615,12 +712,11 @@ func TestConcurrentWriters(t *testing.T) {
 					if s >= shared {
 						seed = int64(1000*(ci+1)) + s
 					}
-					if err := c.Put(runKey(seed), runPayload(seed)); err != nil {
+					if err := c.PutBytes(runKey(seed), runPayload(seed)); err != nil {
 						t.Errorf("Put(seed %d): %v", seed, err)
 						return
 					}
-					var out payload
-					if _, err := c.Get(runKey(s), &out); err != nil {
+					if _, _, err := get(c, runKey(s)); err != nil {
 						t.Errorf("Get(seed %d): %v", s, err)
 						return
 					}
@@ -682,7 +778,7 @@ func TestIncompleteFinalRecord(t *testing.T) {
 			if st := c.Stats(); st.Corrupt != 0 || st.Misses != 1 {
 				t.Fatalf("stats = %+v, want 1 miss and 0 corrupt", st)
 			}
-			if err := c.Put(runKey(3), runPayload(3)); err != nil {
+			if err := c.PutBytes(runKey(3), runPayload(3)); err != nil {
 				t.Fatal(err)
 			}
 			c.Close()
@@ -711,7 +807,7 @@ func TestOldLayoutIgnored(t *testing.T) {
 	if err := os.MkdirAll(filepath.Dir(old), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	body := []byte(`{"key":` + string(runKey(1).bytes()) + `,"payloadSha256":"00","payload":{"note":"old"}}`)
+	body := []byte(`{"key":` + string(runKey(1).appendBytes(nil)) + `,"payloadSha256":"00","payload":{"note":"old"}}`)
 	if err := os.WriteFile(old, body, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -724,7 +820,7 @@ func TestOldLayoutIgnored(t *testing.T) {
 	if st := c.Stats(); st.Corrupt != 0 || st.Misses != 4 {
 		t.Fatalf("stats = %+v, want 4 misses and 0 corrupt", st)
 	}
-	if err := c.Put(runKey(1), runPayload(1)); err != nil {
+	if err := c.PutBytes(runKey(1), runPayload(1)); err != nil {
 		t.Fatal(err)
 	}
 	if !checkGet(t, c, 1) {
@@ -748,7 +844,7 @@ func FuzzSegment(f *testing.F) {
 		f.Fatal(err)
 	}
 	for s := int64(0); s < 3; s++ {
-		if err := c.Put(runKey(s), runPayload(s)); err != nil {
+		if err := c.PutBytes(runKey(s), runPayload(s)); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -771,7 +867,7 @@ func FuzzSegment(f *testing.F) {
 		c := open(t, dir)
 		for s := int64(0); s < 4; s++ {
 			checkGet(t, c, s)
-			if err := c.Put(runKey(s), runPayload(s)); err != nil {
+			if err := c.PutBytes(runKey(s), runPayload(s)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"reflect"
+	"strings"
 
 	"repro/internal/scenario"
 )
@@ -79,16 +81,33 @@ func writeError(w http.ResponseWriter, e *apiError) {
 }
 
 // decodeBody decodes a bounded JSON request body into v, rejecting trailing
-// garbage.
+// garbage. A number that does not fit its integer field is a well-formed
+// request with an out-of-range value, a 422 on that field like any other
+// cap: which numbers fit an int depends on the GOARCH, and the answer must
+// not.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) *apiError {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err := dec.Decode(v); err != nil {
+		var te *json.UnmarshalTypeError
+		if errors.As(err, &te) && te.Field != "" && strings.HasPrefix(te.Value, "number") && isInteger(te.Type) {
+			return invalidField(te.Field, "%s does not fit the field's %s", te.Value, te.Type)
+		}
 		return badRequest("decode request body: %v", err)
 	}
 	if dec.More() {
 		return badRequest("trailing data after JSON request body")
 	}
 	return nil
+}
+
+// isInteger reports whether t is an integer type.
+func isInteger(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		return true
+	}
+	return false
 }
 
 // statusRecorder captures the response status for request logging while

@@ -254,6 +254,8 @@ func TestSubmitCaps(t *testing.T) {
 			fmt.Sprintf(`{"scenarios":["baseline"],"profiles":["secured"],"seeds":{"count":%d}}`, maxSweepRuns+1), "seeds.count"},
 		{"billion seeds over the catalog", "/v1/sweeps", `{"seeds":{"count":1000000000}}`, "seeds.count"},
 		{"count that overflows the cube", "/v1/sweeps", `{"seeds":{"count":9223372036854775807}}`, "seeds.count"},
+		{"count that overflows int64", "/v1/sweeps", `{"seeds":{"count":99999999999999999999}}`, "seeds.count"},
+		{"fractional count", "/v1/sweeps", `{"seeds":{"count":1.5}}`, "seeds.count"},
 		{"negative sample interval", "/v1/sweeps", `{"scenarios":["baseline"],"sampleNs":-1}`, "sampleNs"},
 		{"one-nanosecond samples over a day", "/v1/sweeps",
 			fmt.Sprintf(`{"scenarios":["baseline"],"profiles":["secured"],"durationNs":%d,"sampleNs":1}`, int64(maxSimDuration)), "sampleNs"},

@@ -252,8 +252,8 @@ func TestMarshalTickAllocs(t *testing.T) {
 	var e worksite.Event = worksite.TickSnapshot{N: 1234567, At: 617 * time.Second, Mission: "to-landing",
 		Mode: "cautious", TruePos: geo.V(-123.45678901234567, 98765.4321098765),
 		BelievedPos: geo.V(-123.45678901234, 98765.43210987), NavErrM: 1.2345678901234567e-7,
-		MinWorkerDistM: 12345.678901234567, LogsDelivered: 1 << 40, Collisions: 1 << 40,
-		UnsafeEpisodes: 1 << 40, Alerts: 1 << 40}
+		MinWorkerDistM: 12345.678901234567, LogsDelivered: math.MaxInt32, Collisions: math.MaxInt32,
+		UnsafeEpisodes: math.MaxInt32, Alerts: math.MaxInt32}
 	// AllocsPerRun truncates its mean to an integer, so all calls are one run
 	// and the total must equal the call count exactly.
 	const calls = 100
