@@ -10,7 +10,7 @@
 //	campaign -experiments all -seeds 16 -json results.json
 //	campaign -sweep -scenarios all -profiles unsecured,secured -seeds 8
 //	campaign -sweep -scenarios rf-jamming,harsh-weather -duration 5m
-//	campaign -sweep -shard 0/4 -checkpoint state/ -cache cache/ -json shard0.json
+//	campaign -sweep -shard 0/4 -cache cache/ -json shard0.json
 //	campaign -merge shard0.json shard1.json shard2.json shard3.json
 //	campaign -version
 //
@@ -19,19 +19,18 @@
 // catalog scenarios (worksim.Catalog) and -profiles the defence selections.
 //
 // Sweeps scale out: -shard i/N runs only the runs shard i owns under the
-// stable hash partition (each shard in its own process), -cache dir serves
-// repeated runs from a content-addressed result cache, and -checkpoint dir
-// stores every completed run in a second cache of the same kind, so a killed
-// campaign re-run with the same flags resumes instead of restarting. Shard
-// processes may share one -checkpoint dir; old shard-*-of-*.jsonl journals
-// in it are ignored and resume nothing.
+// stable hash partition (each shard in its own process), and -cache dir
+// stores every completed run in a content-addressed result cache and serves
+// stored runs from it, so a repeated campaign executes nothing and a killed
+// one re-run with the same flags resumes instead of restarting. Shard
+// processes may share one -cache dir. -checkpoint dir is a deprecated
+// synonym for -cache, ignored when -cache is set.
 // -merge combines the shard result files into output byte-identical to the
 // single-process sweep. Progress and statistics go to stderr, so `-json -`
 // output on stdout pipes straight into -merge. The closing "sweep stats"
-// line counts runs simulated fresh (executed), served from the -checkpoint
-// dir (resumed) or the -cache dir (cacheHits), cache lookups that found
-// nothing (cacheMisses), and damaged records met in either dir, none of
-// them served (cacheCorrupt).
+// line counts runs simulated fresh (executed), served from the cache
+// (cacheHits), cache lookups that found nothing (cacheMisses), and damaged
+// records met in the cache, none of them served (cacheCorrupt).
 //
 // The seed range convention is [seed-base, seed-base+seeds); with a fixed
 // seed set the aggregate tables and the JSON export are byte-identical across
@@ -43,6 +42,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -84,8 +84,8 @@ func run() error {
 		sample    = flag.Duration("sample", 0, "record a per-seed timeseries point every this much simulated time (-sweep only, 0 = off)")
 		earlyStop = flag.String("early-stop", "", "end each -sweep run at the first tick matching this predicate (collision|unsafe|safe-stop|first-alert)")
 		shardSel  = flag.String("shard", "", "run only shard i of N of the sweep, as \"i/N\" (-sweep only)")
-		cacheDir  = flag.String("cache", "", "serve repeated runs from a content-addressed result cache rooted here (-sweep only)")
-		ckptDir   = flag.String("checkpoint", "", "store completed runs here and resume a killed campaign from them; shards may share the dir (-sweep only)")
+		cacheDir  = flag.String("cache", "", "store completed runs in a content-addressed result cache rooted here and serve repeated or resumed runs from it; shards may share the dir (-sweep only)")
+		ckptDir   = flag.String("checkpoint", "", "deprecated synonym for -cache, ignored when -cache is set (-sweep only)")
 		merge     = flag.Bool("merge", false, "merge sharded sweep result files (the positional args) into one sweep result on stdout")
 		version   = flag.Bool("version", false, "print the worksim version and exit")
 	)
@@ -148,7 +148,7 @@ func run() error {
 			scenList: *scenList, profList: *profList,
 			seeds: *seeds, seedBase: *seedBase, parallel: *parallel,
 			duration: *duration, sample: *sample, earlyStop: *earlyStop,
-			shard: *shardSel, cacheDir: *cacheDir, ckptDir: *ckptDir,
+			shard: *shardSel, cacheDir: cmp.Or(*cacheDir, *ckptDir),
 			jsonPath: *jsonPath, csv: *csv,
 		})
 	}
@@ -218,7 +218,6 @@ type sweepArgs struct {
 	earlyStop          string
 	shard              string
 	cacheDir           string
-	ckptDir            string
 	jsonPath           string
 	csv                bool
 }
@@ -255,7 +254,6 @@ func runSweep(ctx context.Context, a sweepArgs) error {
 		EarlyStopName: a.earlyStop,
 		Shard:         sel,
 		CacheDir:      a.cacheDir,
-		CheckpointDir: a.ckptDir,
 		Stats:         &stats,
 	}
 	start := time.Now()
@@ -277,8 +275,8 @@ func runSweep(ctx context.Context, a sweepArgs) error {
 	fmt.Fprintf(os.Stderr, "campaign: sweep of %d cell(s) x %d seed(s), parallel %d, %.2fs wall\n",
 		len(res.Cells), a.seeds, a.parallel, time.Since(start).Seconds())
 	sv := stats.View()
-	fmt.Fprintf(os.Stderr, "campaign: sweep stats: executed=%d resumed=%d cacheHits=%d cacheMisses=%d cacheCorrupt=%d\n",
-		sv.Executed, sv.Resumed, sv.CacheHits, sv.CacheMisses, sv.CacheCorrupt)
+	fmt.Fprintf(os.Stderr, "campaign: sweep stats: executed=%d cacheHits=%d cacheMisses=%d cacheCorrupt=%d\n",
+		sv.Executed, sv.CacheHits, sv.CacheMisses, sv.CacheCorrupt)
 	if a.jsonPath != "" {
 		j, err := res.JSON()
 		if err != nil {

@@ -13,13 +13,13 @@
 //     *Session, Report/Metrics, and Sweep(ctx, SweepOptions) for
 //     scenario × profile × seed campaigns. Sweeps scale out: ShardSel
 //     partitions the cube across processes (ParseShard/AssignShard,
-//     MergeSweeps recombining shard outputs byte-identically),
-//     SweepOptions.CacheDir serves repeated runs from a content-addressed
-//     cache keyed on SpecHash and the full run shape, and CheckpointDir
-//     resumes a killed campaign from a second cache of the same kind.
-//     worksim.Version identifies the engine version; every cmd/ binary
-//     reports it via -version and every sweep/campaign JSON export carries
-//     it.
+//     MergeSweeps recombining shard outputs byte-identically), and
+//     SweepOptions.CacheDir names the one run store: a content-addressed
+//     cache keyed on SpecHash and the full run shape that serves repeated
+//     runs and resumes a killed campaign (CheckpointDir is a deprecated
+//     synonym). worksim.Version identifies the engine version; every cmd/
+//     binary reports it via -version and every sweep/campaign JSON export
+//     carries it.
 //   - worksim/scenariospec — the declarative JSON scenario model (site,
 //     weather, workers, drone, fusion policy, security profile, attack
 //     schedule as data).
@@ -70,12 +70,13 @@
 // run key (spec hash, profile, seed, duration, sampling, early-stop name,
 // engine version), each segment ending in a table of its records that a
 // sweep reads instead of the records; damaged records are detected,
-// counted and recomputed, never trusted. The checkpoint is a second such
-// cache that every fresh run is stored into, so a killed campaign resumes
-// from it; every writer appends to its own segment, so sharded processes
-// may share one checkpoint directory, and old shard-*-of-*.jsonl journals
-// are ignored. None of the three changes a byte
-// of sweep output — only where the bytes come from.
+// counted and recomputed, never trusted. The same store resumes a killed
+// campaign: every fresh run is appended before it is reported done, so a
+// re-run serves what the killed one stored; every writer appends to its own
+// segment, so sharded processes may share one cache directory. `campaign
+// -checkpoint` and SweepOptions.CheckpointDir are deprecated synonyms for
+// `-cache` and CacheDir. None of this changes a byte of sweep output — only
+// where the bytes come from.
 //
 // Everything under internal/ is engine: free to evolve, reachable only
 // through the façade. The cmd/ binaries and examples/ import exclusively

@@ -11,10 +11,10 @@ import (
 	"repro/internal/worksite"
 )
 
-// A run record is the payload the result cache and the checkpoint store
-// hold for one completed run: an Outcome's Metrics, Timeseries and
-// StoppedAt, everything of a SeedRun but the seed, which the key carries.
-// It is a fixed binary layout, integers little-endian:
+// A run record is the payload the result cache holds for one completed
+// run: an Outcome's Metrics, Timeseries and StoppedAt, everything of a
+// SeedRun but the seed, which the key carries. It is a fixed binary
+// layout, integers little-endian:
 //
 //	format byte (recordFormat)
 //	StoppedAt in ns, i64

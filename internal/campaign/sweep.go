@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sync/atomic"
@@ -42,9 +43,9 @@ type SweepOptions struct {
 	// session instrumentation, across any Parallel width.
 	EarlyStop func(worksite.TickSnapshot) bool
 	// EarlyStopName names the EarlyStop predicate (EarlyStopByName) so it
-	// can participate in cache and checkpoint keys. Required when EarlyStop
-	// is non-nil and CacheDir or CheckpointDir is set: an opaque func has no
-	// content address, so an unnamed predicate cannot be cached.
+	// can participate in the result cache's run key. Required when EarlyStop
+	// is non-nil and the cache is enabled: an opaque func has no content
+	// address, so an unnamed predicate cannot be cached.
 	EarlyStopName string
 	// Shard, when enabled (Count > 1), restricts the sweep to the runs the
 	// selected shard owns under the stable hash partition of internal/shard,
@@ -62,32 +63,31 @@ type SweepOptions struct {
 	// each segment file in the directory when it starts, appends the runs
 	// it computes to a segment of its own, and closes the store — writing
 	// that segment's table — when it returns.
+	//
+	// The cache is also what resumes a killed campaign: every run is
+	// appended as it completes, before it is reported done, so a re-run
+	// with identical options serves what the killed one stored and computes
+	// only the rest; a run cut off mid-append is simply computed again. A
+	// run whose key differs (another duration, engine or spec) misses, and
+	// every sweep writes its own segment, so sharded processes and
+	// unrelated campaigns may share one directory.
 	CacheDir string
-	// CheckpointDir, when non-empty, opens a second result cache rooted
-	// there, with the same run key as CacheDir: every completed run is
-	// appended as it finishes, and runs already stored are served from it
-	// first, so a killed campaign re-run with identical options resumes
-	// instead of restarting from zero; a run cut off mid-append is simply
-	// computed again. A run whose key differs (another duration, engine or
-	// spec) misses, and every sweep writes its own segment, so sharded
-	// processes and unrelated campaigns may share one directory. Old
-	// per-shard shard-*-of-*.jsonl journals and old one-file-per-run
-	// entries are ignored and resume nothing.
+	// CheckpointDir roots the result cache when CacheDir is empty; it is
+	// ignored when CacheDir is set.
+	//
+	// Deprecated: set CacheDir, which resumes a killed campaign the same
+	// way.
 	CheckpointDir string
 	// OnRunDone, when non-nil, is invoked once after every completed
-	// (scenario, profile, seed) run — the progress seam async consumers
-	// (the worksimd daemon) count seeds with. It is called from pool
-	// worker goroutines and must be safe for concurrent use; it observes
-	// progress only and must not influence results. Runs served from the
-	// cache or checkpoint count as done.
+	// (scenario, profile, seed) run, whether simulated or served from the
+	// cache. It is called from pool worker goroutines and must be safe for
+	// concurrent use; it observes progress only and must not influence
+	// results. A consumer that only counts progress reads Stats instead.
 	OnRunDone func()
-	// OnRunCached, when non-nil, is invoked (after OnRunDone, from pool
-	// goroutines) for every run served from the result cache.
-	OnRunCached func()
 	// Stats, when non-nil, receives the sweep's live execution counters:
-	// how many runs were simulated fresh, served from cache, or resumed
-	// from a checkpoint. Counters are never part of the sweep's JSON export,
-	// so a warm-cache re-run stays byte-identical to its cold run.
+	// how many runs were simulated fresh and how many were served from the
+	// cache. Counters are never part of the sweep's JSON export, so a
+	// warm-cache re-run stays byte-identical to its cold run.
 	Stats *SweepStats
 }
 
@@ -98,7 +98,6 @@ type SweepStats struct {
 	cacheHits    atomic.Int64
 	cacheMisses  atomic.Int64
 	cacheCorrupt atomic.Int64
-	resumed      atomic.Int64
 }
 
 // SweepStatsView is a point-in-time snapshot of SweepStats.
@@ -107,12 +106,15 @@ type SweepStatsView struct {
 	Executed int64 `json:"executed"`
 	// CacheHits / CacheMisses are the result-cache counters: verified
 	// records served, and lookups that found nothing. CacheCorrupt counts
-	// damaged records met in the result cache and the checkpoint store
-	// alike; none is served, and a run that needed one is recomputed.
+	// damaged records met in the cache; none is served, and a run that
+	// needed one is recomputed.
 	CacheHits    int64 `json:"cacheHits"`
 	CacheMisses  int64 `json:"cacheMisses"`
 	CacheCorrupt int64 `json:"cacheCorrupt"`
-	// Resumed counts runs served from the checkpoint store (CheckpointDir).
+	// Resumed is always 0: the runs a killed campaign stored are served
+	// from the result cache and count as CacheHits.
+	//
+	// Deprecated: read CacheHits.
 	Resumed int64 `json:"resumed"`
 }
 
@@ -123,7 +125,6 @@ func (s *SweepStats) View() SweepStatsView {
 		CacheHits:    s.cacheHits.Load(),
 		CacheMisses:  s.cacheMisses.Load(),
 		CacheCorrupt: s.cacheCorrupt.Load(),
-		Resumed:      s.resumed.Load(),
 	}
 }
 
@@ -173,9 +174,8 @@ func SampleObserver(every time.Duration, into *[]TimePoint) worksite.Observer {
 }
 
 // EarlyStopByName resolves a named early-stop predicate — the CLI surface
-// of SweepOptions.EarlyStop. Callers that also cache or checkpoint should
-// record the name in SweepOptions.EarlyStopName so the predicate enters the
-// run key.
+// of SweepOptions.EarlyStop. Callers that also cache should record the
+// name in SweepOptions.EarlyStopName so the predicate enters the run key.
 func EarlyStopByName(name string) (func(worksite.TickSnapshot) bool, error) {
 	switch name {
 	case "":
@@ -231,10 +231,9 @@ type SweepResult struct {
 //
 // With Shard enabled only the owned slice of the cube executes; with
 // CacheDir set completed runs are stored in (and served from) the
-// content-addressed result cache; with CheckpointDir set they are also
-// stored in a second cache there, so a killed campaign resumes where it
-// stopped. None of the three changes a single byte of the result for the
-// runs they cover — they only change where the bytes come from.
+// content-addressed result cache, so a repeated or killed campaign serves
+// the runs it already stored. Neither changes a single byte of the result
+// for the runs it covers — only where the bytes come from.
 //
 // The context cancels the sweep end to end: the pool stops claiming runs,
 // in-flight simulation runs stop between control ticks, and Sweep returns
@@ -269,13 +268,11 @@ func Sweep(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
 	if env.stats == nil {
 		env.stats = &SweepStats{}
 	}
-	if opts.CacheDir != "" || opts.CheckpointDir != "" {
+	if dir := cmp.Or(opts.CacheDir, opts.CheckpointDir); dir != "" {
 		if opts.EarlyStop != nil && opts.EarlyStopName == "" {
-			return nil, fmt.Errorf("sweep: caching/checkpointing requires EarlyStopName when an EarlyStop predicate is set (an opaque func has no content address)")
+			return nil, fmt.Errorf("sweep: the result cache requires EarlyStopName when an EarlyStop predicate is set (an opaque func has no content address)")
 		}
-	}
-	if opts.CacheDir != "" {
-		c, err := resultcache.Open(opts.CacheDir)
+		c, err := resultcache.Open(dir)
 		if err != nil {
 			return nil, fmt.Errorf("sweep: %w", err)
 		}
@@ -283,30 +280,14 @@ func Sweep(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
 		// the next Open repairs by compacting it.
 		defer c.Close()
 		env.cache = c
+		// Fold the store's own counters into the sweep stats once the sweep
+		// ends, however it ends.
+		defer func() {
+			st := c.Stats()
+			env.stats.cacheMisses.Store(st.Misses)
+			env.stats.cacheCorrupt.Store(st.Corrupt)
+		}()
 	}
-	if opts.CheckpointDir != "" {
-		c, err := resultcache.Open(opts.CheckpointDir)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: checkpoint: %w", err)
-		}
-		defer c.Close()
-		env.ckpt = c
-	}
-	// Fold the stores' own counters into the sweep stats once the sweep
-	// ends, however it ends: misses are the result cache's, damaged records
-	// are counted from both stores.
-	defer func() {
-		if env.cache != nil {
-			env.stats.cacheMisses.Store(env.cache.Stats().Misses)
-		}
-		var corrupt int64
-		for _, store := range [...]*resultcache.Cache{env.cache, env.ckpt} {
-			if store != nil {
-				corrupt += store.Stats().Corrupt
-			}
-		}
-		env.stats.cacheCorrupt.Store(corrupt)
-	}()
 
 	res := &SweepResult{Version: version.Engine, Duration: d, Seeds: opts.Seeds}
 	if opts.Shard.Enabled() {
@@ -336,7 +317,7 @@ func Sweep(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
 				return nil, fmt.Errorf("sweep: %w", err)
 			}
 			cell := cellRef{scenario: name, profile: profName, spec: spec.WithProfile(prof)}
-			if env.cache != nil || env.ckpt != nil {
+			if env.cache != nil {
 				if cell.specHash, err = cell.spec.Hash(); err != nil {
 					return nil, fmt.Errorf("sweep %s/%s: %w", name, profName, err)
 				}
@@ -383,20 +364,17 @@ func Sweep(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
 	return res, nil
 }
 
-// sweepEnv carries the per-sweep run stores into the pool workers: the
-// result cache and the checkpoint store, each nil when its directory is
-// unset.
+// sweepEnv carries the per-sweep run store into the pool workers: the
+// result cache, nil when no directory is set.
 type sweepEnv struct {
 	opts  SweepOptions
 	stats *SweepStats
 	cache *resultcache.Cache
-	ckpt  *resultcache.Cache
 }
 
 // cellRef names one (scenario, profile) cell with its compiled spec, the
-// cell's batch over the sweep's commissioner, and — when the cache or
-// checkpoint store is open — the spec's canonical hash, computed once per
-// cell.
+// cell's batch over the sweep's commissioner, and — when the result cache
+// is open — the spec's canonical hash, computed once per cell.
 type cellRef struct {
 	scenario string
 	profile  string
@@ -405,33 +383,22 @@ type cellRef struct {
 	batch    *scenario.Batch
 }
 
-// runCell satisfies one (scenario, profile, seed) run: from the checkpoint
-// store, the result cache, or a fresh simulation — in that order. Both
-// stores are resultcache.Caches addressed by the same key, so a fresh result
-// is stored into each open one before progress is reported, and a kill
-// immediately after a run completes never loses it.
+// runCell satisfies one (scenario, profile, seed) run: from the result
+// cache when it holds the run, else by a fresh simulation whose result is
+// stored before progress is reported, so a kill immediately after a run
+// completes never loses it.
 func (e *sweepEnv) runCell(ctx context.Context, cell cellRef, p Params) (Outcome, error) {
-	key := resultcache.Key{
-		SpecHash:   cell.specHash,
-		Profile:    cell.profile,
-		Seed:       p.Seed,
-		DurationNs: int64(p.Duration),
-		SampleNs:   int64(e.opts.SampleEvery),
-		EarlyStop:  e.opts.EarlyStopName,
-		Engine:     version.Engine,
-	}
-	if e.ckpt != nil {
-		out, hit, err := lookup(e.ckpt, key)
-		if err != nil {
-			return Outcome{}, err
-		}
-		if hit {
-			e.stats.resumed.Add(1)
-			e.done()
-			return out, nil
-		}
-	}
+	var key resultcache.Key
 	if e.cache != nil {
+		key = resultcache.Key{
+			SpecHash:   cell.specHash,
+			Profile:    cell.profile,
+			Seed:       p.Seed,
+			DurationNs: int64(p.Duration),
+			SampleNs:   int64(e.opts.SampleEvery),
+			EarlyStop:  e.opts.EarlyStopName,
+			Engine:     version.Engine,
+		}
 		out, hit, err := lookup(e.cache, key)
 		if err != nil {
 			return Outcome{}, err
@@ -439,9 +406,6 @@ func (e *sweepEnv) runCell(ctx context.Context, cell cellRef, p Params) (Outcome
 		if hit {
 			e.stats.cacheHits.Add(1)
 			e.done()
-			if e.opts.OnRunCached != nil {
-				e.opts.OnRunCached()
-			}
 			return out, nil
 		}
 	}
@@ -450,12 +414,9 @@ func (e *sweepEnv) runCell(ctx context.Context, cell cellRef, p Params) (Outcome
 	if err != nil {
 		return Outcome{}, err
 	}
-	rec := appendRunRecord(nil, out)
-	for _, store := range [...]*resultcache.Cache{e.cache, e.ckpt} {
-		if store != nil {
-			if err := store.PutBytes(key, rec); err != nil {
-				return Outcome{}, err
-			}
+	if e.cache != nil {
+		if err := e.cache.PutBytes(key, appendRunRecord(nil, out)); err != nil {
+			return Outcome{}, err
 		}
 	}
 	e.stats.executed.Add(1)

@@ -1,10 +1,10 @@
 package campaign_test
 
-// Scale-out tests: sharding, the content-addressed result cache and the
-// checkpoint store must never change a byte of sweep output — only where
-// the bytes come from. The byte-identity comparisons here are the contract
-// the CLI's -shard/-merge/-cache/-checkpoint modes stand on, including a
-// genuine process kill (re-exec helper) between seeds.
+// Scale-out tests: sharding and the content-addressed result cache must
+// never change a byte of sweep output — only where the bytes come from. The
+// byte-identity comparisons here are the contract the CLI's
+// -shard/-merge/-cache modes stand on, including a genuine process kill
+// (re-exec helper) between seeds and a resume from the cache it left.
 
 import (
 	"bytes"
@@ -140,18 +140,13 @@ func TestWarmCacheByteIdentity(t *testing.T) {
 	}
 
 	var warm campaign.SweepStats
-	var cachedCalls atomic.Int64
 	warmOpts := scaleOpts()
 	warmOpts.CacheDir = dir
 	warmOpts.Stats = &warm
-	warmOpts.OnRunCached = func() { cachedCalls.Add(1) }
 	warmBytes := sweepBytes(t, warmOpts)
 	ws := warm.View()
 	if ws.Executed != 0 || ws.CacheHits != 16 || ws.CacheMisses != 0 || ws.CacheCorrupt != 0 {
 		t.Fatalf("warm stats = %+v, want every run served from cache", ws)
-	}
-	if cachedCalls.Load() != 16 {
-		t.Fatalf("OnRunCached fired %d times, want 16", cachedCalls.Load())
 	}
 	if string(warmBytes) != string(coldBytes) {
 		t.Fatal("warm-cache sweep output differs from the cold run")
@@ -160,33 +155,43 @@ func TestWarmCacheByteIdentity(t *testing.T) {
 
 // TestCacheCorruptEntryRecomputed: damaging one cached record costs exactly
 // one recomputation — the corrupt record is detected, counted and
-// recomputed, and output stays byte-identical.
+// recomputed, and output stays byte-identical. The store named by the
+// deprecated CheckpointDir keeps the same rule.
 func TestCacheCorruptEntryRecomputed(t *testing.T) {
-	dir := t.TempDir()
-	coldOpts := scaleOpts()
-	coldOpts.CacheDir = dir
-	coldBytes := sweepBytes(t, coldOpts)
+	for _, row := range []struct {
+		name  string
+		store func(*campaign.SweepOptions, string)
+	}{
+		{"CacheDir", func(o *campaign.SweepOptions, dir string) { o.CacheDir = dir }},
+		{"CheckpointDir", func(o *campaign.SweepOptions, dir string) { o.CheckpointDir = dir }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			coldOpts := scaleOpts()
+			row.store(&coldOpts, dir)
+			coldBytes := sweepBytes(t, coldOpts)
 
-	flipPayloadBit(t, dir)
+			flipPayloadBit(t, dir)
 
-	var stats campaign.SweepStats
-	opts := scaleOpts()
-	opts.CacheDir = dir
-	opts.Stats = &stats
-	got := sweepBytes(t, opts)
-	sv := stats.View()
-	if sv.CacheCorrupt != 1 || sv.Executed != 1 || sv.CacheHits != 15 {
-		t.Fatalf("stats after corruption = %+v, want 1 corrupt / 1 executed / 15 hits", sv)
-	}
-	if string(got) != string(coldBytes) {
-		t.Fatal("output after corruption recovery differs from the cold run")
+			var stats campaign.SweepStats
+			opts := scaleOpts()
+			row.store(&opts, dir)
+			opts.Stats = &stats
+			got := sweepBytes(t, opts)
+			sv := stats.View()
+			if sv.CacheCorrupt != 1 || sv.Executed != 1 || sv.CacheHits != 15 {
+				t.Fatalf("stats after corruption = %+v, want 1 corrupt / 1 executed / 15 hits", sv)
+			}
+			if string(got) != string(coldBytes) {
+				t.Fatal("output after corruption recovery differs from the cold run")
+			}
+		})
 	}
 }
 
-// flipPayloadBit damages one of the 16 records of a result-cache directory:
-// it flips one bit inside the binary run record that is the payload of the
-// segment's last record, where only the checksum catches it.
-func flipPayloadBit(t *testing.T, dir string) {
+// onlySegment reads the one segment of a result-cache directory that one
+// sweep of scaleOpts wrote, requiring it to hold one record per run (16).
+func onlySegment(t *testing.T, dir string) (path string, b []byte) {
 	t.Helper()
 	segs, err := filepath.Glob(filepath.Join(dir, "seg-*"))
 	if err != nil {
@@ -195,19 +200,28 @@ func flipPayloadBit(t *testing.T, dir string) {
 	if len(segs) != 1 {
 		t.Fatalf("%s holds segments %v, want one", dir, segs)
 	}
-	b, err := os.ReadFile(segs[0])
+	b, err = os.ReadFile(segs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := bytes.Count(b, []byte(`"specHash"`)); n != 16 {
 		t.Fatalf("%s holds %d records, want 16", segs[0], n)
 	}
+	return segs[0], b
+}
+
+// flipPayloadBit damages one of the 16 records of a result-cache directory:
+// it flips one bit inside the binary run record that is the payload of the
+// segment's last record, where only the checksum catches it.
+func flipPayloadBit(t *testing.T, dir string) {
+	t.Helper()
+	seg, b := onlySegment(t, dir)
 	// The last record's key, canonical JSON, ends at the first '}' after
 	// its "engine" field; its payload follows (10 bytes in is the metric
 	// count), and the segment's table after that.
 	key := bytes.LastIndex(b, []byte(`"engine":`))
 	b[key+bytes.IndexByte(b[key:], '}')+10] ^= 0x01
-	if err := os.WriteFile(segs[0], b, 0o644); err != nil {
+	if err := os.WriteFile(seg, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -294,28 +308,35 @@ func TestJSONPayloadRecordsMiss(t *testing.T) {
 
 // TestCacheKeyCoversRunShape: changing the simulated duration (or sampling,
 // or the early-stop predicate) changes every run key, so a warm cache for
-// one shape serves nothing for another.
+// one shape serves nothing for another, and a sweep over a directory a
+// differently-shaped campaign left is exactly a fresh sweep.
 func TestCacheKeyCoversRunShape(t *testing.T) {
 	dir := t.TempDir()
 	coldOpts := scaleOpts()
 	coldOpts.CacheDir = dir
 	_ = sweepBytes(t, coldOpts)
 
-	var stats campaign.SweepStats
 	longer := scaleOpts()
-	longer.CacheDir = dir
 	longer.Duration = 3 * time.Minute
+	fresh := sweepBytes(t, longer)
+
+	var stats campaign.SweepStats
+	longer.CacheDir = dir
 	longer.Stats = &stats
-	_ = sweepBytes(t, longer)
+	got := sweepBytes(t, longer)
 	sv := stats.View()
 	if sv.CacheHits != 0 || sv.Executed != 16 {
 		t.Fatalf("stats for changed duration = %+v, want 0 hits / 16 executed", sv)
 	}
+	if !bytes.Equal(got, fresh) {
+		t.Fatal("sweep over a differently-shaped cache differs from a fresh sweep")
+	}
 }
 
 // TestUnnamedEarlyStopRejected: an opaque early-stop func cannot be content
-// addressed, so enabling the cache or checkpoint without naming it is an
-// error rather than a silently wrong key.
+// addressed, so enabling the cache (through CacheDir or the deprecated
+// CheckpointDir) without naming it is an error rather than a silently wrong
+// key.
 func TestUnnamedEarlyStopRejected(t *testing.T) {
 	stop, err := campaign.EarlyStopByName("collision")
 	if err != nil {
@@ -334,10 +355,10 @@ func TestUnnamedEarlyStopRejected(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeInProcess: cancel a checkpointed sweep mid-flight,
-// re-run it, and the checkpointed runs are resumed instead of recomputed —
+// TestCacheResumeInProcess: cancel a cached sweep mid-flight, re-run it,
+// and the stored runs are served from the cache instead of recomputed —
 // with output byte-identical to an uninterrupted sweep.
-func TestCheckpointResumeInProcess(t *testing.T) {
+func TestCacheResumeInProcess(t *testing.T) {
 	plain := sweepBytes(t, scaleOpts())
 	dir := t.TempDir()
 
@@ -345,7 +366,7 @@ func TestCheckpointResumeInProcess(t *testing.T) {
 	defer cancel()
 	var done atomic.Int64
 	first := scaleOpts()
-	first.CheckpointDir = dir
+	first.CacheDir = dir
 	first.Parallel = 1
 	first.OnRunDone = func() {
 		if done.Add(1) == 3 {
@@ -361,15 +382,15 @@ func TestCheckpointResumeInProcess(t *testing.T) {
 
 	var stats campaign.SweepStats
 	second := scaleOpts()
-	second.CheckpointDir = dir
+	second.CacheDir = dir
 	second.Stats = &stats
 	got := sweepBytes(t, second)
 	sv := stats.View()
-	if sv.Resumed < 3 {
-		t.Fatalf("resume replayed %d runs, want at least the 3 checkpointed ones", sv.Resumed)
+	if sv.CacheHits < 3 {
+		t.Fatalf("resume served %d runs from the cache, want at least the 3 stored ones", sv.CacheHits)
 	}
-	if sv.Resumed+sv.Executed != 16 {
-		t.Fatalf("stats = %+v: resumed+executed != 16", sv)
+	if sv.CacheHits+sv.Executed != 16 {
+		t.Fatalf("stats = %+v: cacheHits+executed != 16", sv)
 	}
 	if string(got) != string(plain) {
 		t.Fatal("resumed sweep output differs from an uninterrupted sweep")
@@ -378,62 +399,28 @@ func TestCheckpointResumeInProcess(t *testing.T) {
 	// A third run replays everything and executes nothing.
 	var all campaign.SweepStats
 	third := scaleOpts()
-	third.CheckpointDir = dir
+	third.CacheDir = dir
 	third.Stats = &all
 	_ = sweepBytes(t, third)
-	if av := all.View(); av.Resumed != 16 || av.Executed != 0 {
-		t.Fatalf("fully-checkpointed rerun stats = %+v, want 16 resumed / 0 executed", av)
+	if av := all.View(); av.CacheHits != 16 || av.Executed != 0 {
+		t.Fatalf("fully-cached rerun stats = %+v, want 16 hits / 0 executed", av)
 	}
 }
 
-// TestCheckpointIgnoresForeignRuns: a checkpoint directory written by a
-// campaign with different parameters serves nothing to this one — its runs
-// carry other keys, so they miss and are executed, and output is exactly a
-// fresh sweep's.
-func TestCheckpointIgnoresForeignRuns(t *testing.T) {
-	dir := t.TempDir()
-	first := scaleOpts()
-	first.CheckpointDir = dir
-	_ = sweepBytes(t, first)
-
-	fresh := scaleOpts()
-	fresh.Duration = 3 * time.Minute
-	want := sweepBytes(t, fresh)
-
-	var stats campaign.SweepStats
-	changed := fresh
-	changed.CheckpointDir = dir
-	changed.Stats = &stats
-	got := sweepBytes(t, changed)
-	if sv := stats.View(); sv.Resumed != 0 || sv.Executed != 16 {
-		t.Fatalf("stats over a foreign checkpoint = %+v, want 0 resumed / 16 executed", sv)
-	}
-	if string(got) != string(want) {
-		t.Fatal("sweep over a foreign checkpoint differs from a fresh sweep")
-	}
-}
-
-// TestCheckpointCorruptEntryRecomputed: damaging one checkpoint record costs
-// exactly one recomputation on resume — the record fails its checksum, is
-// counted corrupt and recomputed, and output stays byte-identical.
-func TestCheckpointCorruptEntryRecomputed(t *testing.T) {
-	dir := t.TempDir()
-	coldOpts := scaleOpts()
-	coldOpts.CheckpointDir = dir
-	coldBytes := sweepBytes(t, coldOpts)
-
-	flipPayloadBit(t, dir)
-
-	var stats campaign.SweepStats
+// TestCacheAndCheckpointDirOneStore: with both CacheDir and the deprecated
+// CheckpointDir set, only the cache directory is opened: it holds exactly
+// one record per run, and the checkpoint directory gets no segment.
+func TestCacheAndCheckpointDirOneStore(t *testing.T) {
+	cacheDir, ckptDir := t.TempDir(), t.TempDir()
 	opts := scaleOpts()
-	opts.CheckpointDir = dir
-	opts.Stats = &stats
-	got := sweepBytes(t, opts)
-	if sv := stats.View(); sv.Resumed != 15 || sv.Executed != 1 || sv.CacheCorrupt != 1 {
-		t.Fatalf("stats after corruption = %+v, want 15 resumed / 1 executed / 1 corrupt", sv)
+	opts.CacheDir = cacheDir
+	opts.CheckpointDir = ckptDir
+	if got := sweepBytes(t, opts); !bytes.Equal(got, sweepBytes(t, scaleOpts())) {
+		t.Fatal("sweep with both directories set differs from the plain sweep")
 	}
-	if string(got) != string(coldBytes) {
-		t.Fatal("output after checkpoint corruption recovery differs from the cold run")
+	onlySegment(t, cacheDir)
+	if segs, _ := filepath.Glob(filepath.Join(ckptDir, "seg-*")); len(segs) != 0 {
+		t.Fatalf("checkpoint directory holds segments %v, want none", segs)
 	}
 }
 
@@ -527,22 +514,22 @@ func TestMergeValidation(t *testing.T) {
 // --- genuine process-kill resume ---
 
 const (
-	helperEnv     = "CAMPAIGN_TEST_HELPER_KILL"
-	helperCkptEnv = "CAMPAIGN_TEST_HELPER_CKPT"
-	helperExit    = 57
+	helperEnv      = "CAMPAIGN_TEST_HELPER_KILL"
+	helperCacheEnv = "CAMPAIGN_TEST_HELPER_CACHE"
+	helperExit     = 57
 )
 
 // TestHelperKilledShardSweep is not a test: re-executed as a child process
-// by TestProcessKillResume, it starts shard 0/2 of the standard campaign
-// with a checkpoint store and exits hard (os.Exit, no cleanup) after two
-// completed runs — a real mid-campaign crash.
+// by TestProcessKillCacheResume, it starts shard 0/2 of the standard
+// campaign with a result cache and exits hard (os.Exit, no cleanup) after
+// two completed runs — a real mid-campaign crash.
 func TestHelperKilledShardSweep(t *testing.T) {
 	if os.Getenv(helperEnv) != "1" {
-		t.Skip("helper process for TestProcessKillResume")
+		t.Skip("helper process for TestProcessKillCacheResume")
 	}
 	opts := scaleOpts()
 	opts.Shard = shard.Sel{Index: 0, Count: 2}
-	opts.CheckpointDir = os.Getenv(helperCkptEnv)
+	opts.CacheDir = os.Getenv(helperCacheEnv)
 	opts.Parallel = 1
 	var done atomic.Int64
 	opts.OnRunDone = func() {
@@ -556,11 +543,11 @@ func TestHelperKilledShardSweep(t *testing.T) {
 	os.Exit(0)
 }
 
-// TestProcessKillResume: kill a sharded, checkpointed campaign between seeds
-// in a real child process, resume it, run the sibling shard, merge — and the
-// result is byte-identical to a single uninterrupted sweep, with the
-// checkpointed runs demonstrably not recomputed.
-func TestProcessKillResume(t *testing.T) {
+// TestProcessKillCacheResume: kill a sharded, cached campaign between seeds
+// in a real child process, resume it from the cache, run the sibling shard,
+// merge — and the result is byte-identical to a single uninterrupted sweep,
+// with the stored runs demonstrably not recomputed.
+func TestProcessKillCacheResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-executes the test binary")
 	}
@@ -583,29 +570,29 @@ func TestProcessKillResume(t *testing.T) {
 
 	dir := t.TempDir()
 	cmd := exec.Command(os.Args[0], "-test.run", "^TestHelperKilledShardSweep$", "-test.v")
-	cmd.Env = append(os.Environ(), helperEnv+"=1", helperCkptEnv+"="+dir)
+	cmd.Env = append(os.Environ(), helperEnv+"=1", helperCacheEnv+"="+dir)
 	out, err := cmd.CombinedOutput()
 	var exitErr *exec.ExitError
 	if !errors.As(err, &exitErr) || exitErr.ExitCode() != helperExit {
 		t.Fatalf("helper process: err=%v (want exit code %d)\noutput:\n%s", err, helperExit, out)
 	}
 
-	// Resume shard 0 from the checkpoint the killed process left behind.
+	// Resume shard 0 from the cache the killed process left behind.
 	var stats campaign.SweepStats
 	resume := scaleOpts()
 	resume.Shard = shard.Sel{Index: 0, Count: 2}
-	resume.CheckpointDir = dir
+	resume.CacheDir = dir
 	resume.Stats = &stats
 	res0, err := campaign.Sweep(context.Background(), resume)
 	if err != nil {
 		t.Fatalf("resume shard 0: %v", err)
 	}
 	sv := stats.View()
-	if sv.Resumed < 2 {
-		t.Fatalf("resume replayed %d runs, want at least the 2 the killed process checkpointed", sv.Resumed)
+	if sv.CacheHits < 2 {
+		t.Fatalf("resume served %d runs from the cache, want at least the 2 the killed process stored", sv.CacheHits)
 	}
-	if sv.Resumed+sv.Executed != int64(owned) {
-		t.Fatalf("resume stats = %+v, want resumed+executed == %d", sv, owned)
+	if sv.CacheHits+sv.Executed != int64(owned) {
+		t.Fatalf("resume stats = %+v, want cacheHits+executed == %d", sv, owned)
 	}
 
 	other := scaleOpts()

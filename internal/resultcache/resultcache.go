@@ -72,12 +72,11 @@
 // other than segments — the old <xx>/<id>.json entries, shard-*-of-*.jsonl
 // journals — are never read.
 //
-// The same store is also the sweep's checkpoint: campaign.Sweep opens a
-// second Cache at SweepOptions.CheckpointDir and stores every fresh run in
-// it, so a killed campaign resumes by looking its runs up there. Because
-// records are addressed by the full key and writers never share a segment,
-// sharded processes may share one checkpoint directory, and runs of a
-// differently-shaped campaign simply miss.
+// The same store is what resumes a killed sweep: campaign.Sweep stores
+// every fresh run before reporting it done, so a re-run looks up what the
+// killed one stored. Because records are addressed by the full key and
+// writers never share a segment, sharded processes may share one
+// directory, and runs of a differently-shaped campaign simply miss.
 //
 // A Cache sees the records stored before its Open and those it stores
 // itself, not those another Cache stores later: two sweeps running side by

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/campaign"
@@ -72,8 +71,7 @@ type sweepJob struct {
 	seeds     campaign.SeedRange
 	duration  time.Duration
 	total     int
-	done      atomic.Int64
-	cached    atomic.Int64
+	stats     campaign.SweepStats
 	cancel    context.CancelFunc
 
 	mu     sync.Mutex
@@ -83,6 +81,7 @@ type sweepJob struct {
 }
 
 func (j *sweepJob) status(withResult bool) sweepStatus {
+	v := j.stats.View()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := sweepStatus{
@@ -93,9 +92,9 @@ func (j *sweepJob) status(withResult bool) sweepStatus {
 		Seeds:      j.seeds,
 		DurationNs: int64(j.duration),
 		Progress: sweepProgress{
-			Done:   int(j.done.Load()),
+			Done:   int(v.Executed + v.CacheHits),
 			Total:  j.total,
-			Cached: int(j.cached.Load()),
+			Cached: int(v.CacheHits),
 		},
 		Error: j.errMsg,
 	}
@@ -228,8 +227,7 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		EarlyStop:     earlyStop,
 		EarlyStopName: req.EarlyStop,
 		CacheDir:      s.cfg.CacheDir,
-		OnRunDone:     func() { j.done.Add(1) },
-		OnRunCached:   func() { j.cached.Add(1) },
+		Stats:         &j.stats,
 	}
 
 	s.jobs.Add(1)

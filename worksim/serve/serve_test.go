@@ -588,7 +588,8 @@ func TestSweepLifecycle(t *testing.T) {
 
 // TestSweepCacheProgress: with Config.CacheDir set, a repeated sweep is
 // served from the content-addressed result cache — progress reports every
-// run as cached and the result bytes are identical to the cold run's.
+// run done on both sweeps and every run cached on the repeat, and the
+// result bytes are identical to the cold run's.
 func TestSweepCacheProgress(t *testing.T) {
 	ts := newTestServer(t, serve.Config{CacheDir: t.TempDir()})
 	type sweepStatus struct {
@@ -610,12 +611,18 @@ func TestSweepCacheProgress(t *testing.T) {
 		if code != http.StatusAccepted {
 			t.Fatalf("POST /v1/sweeps: status %d", code)
 		}
+		// The submit response carries no result, and a sweep served from
+		// the cache may already be done when it is written: GET at least
+		// once.
 		deadline := time.Now().Add(30 * time.Second)
-		for time.Now().Before(deadline) && !st.State.Terminal() {
-			time.Sleep(10 * time.Millisecond)
+		for {
 			if code := getJSON(t, ts.URL+"/v1/sweeps/"+st.ID, &st); code != http.StatusOK {
 				t.Fatalf("GET sweep: status %d", code)
 			}
+			if st.State.Terminal() || time.Now().After(deadline) {
+				break
+			}
+			time.Sleep(10 * time.Millisecond)
 		}
 		if st.State != serve.StateDone || st.Error != "" {
 			t.Fatalf("sweep ended %s (error %q), want done", st.State, st.Error)
@@ -623,12 +630,12 @@ func TestSweepCacheProgress(t *testing.T) {
 		return st
 	}
 	cold := submit()
-	if cold.Progress.Cached != 0 {
-		t.Fatalf("cold sweep reports %d cached runs, want 0", cold.Progress.Cached)
+	if cold.Progress.Cached != 0 || cold.Progress.Done != cold.Progress.Total {
+		t.Fatalf("cold sweep progress = %+v, want every run done and none cached", cold.Progress)
 	}
 	warm := submit()
-	if warm.Progress.Cached != warm.Progress.Total {
-		t.Fatalf("warm sweep progress = %+v, want every run cached", warm.Progress)
+	if warm.Progress.Cached != warm.Progress.Total || warm.Progress.Done != warm.Progress.Total {
+		t.Fatalf("warm sweep progress = %+v, want every run done and cached", warm.Progress)
 	}
 	if string(warm.Result) != string(cold.Result) {
 		t.Fatal("warm-cache sweep result differs from the cold run")

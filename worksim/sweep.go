@@ -37,9 +37,9 @@ type (
 	// MergeSweeps strips).
 	ShardInfo = campaign.ShardInfo
 	// SweepStats carries a sweep's live execution counters (fresh runs,
-	// cache hits/misses/corruptions, checkpoint resumes); hand one to
-	// SweepOptions.Stats and snapshot it with View. Counters are never part
-	// of sweep JSON, so cold and warm runs stay byte-identical.
+	// cache hits/misses/corruptions); hand one to SweepOptions.Stats and
+	// snapshot it with View. Counters are never part of sweep JSON, so cold
+	// and warm runs stay byte-identical.
 	SweepStats = campaign.SweepStats
 	// SweepStatsView is a point-in-time snapshot of SweepStats.
 	SweepStatsView = campaign.SweepStatsView
@@ -66,9 +66,9 @@ func Sweep(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
 
 // EarlyStopByName resolves a named early-stop predicate (collision, unsafe,
 // safe-stop, first-alert) — the CLI surface of SweepOptions.EarlyStop. The
-// empty name resolves to nil (no early stop). Callers that cache or
-// checkpoint must also record the name in SweepOptions.EarlyStopName so the
-// predicate enters the run key.
+// empty name resolves to nil (no early stop). Callers that cache must also
+// record the name in SweepOptions.EarlyStopName so the predicate enters the
+// run key.
 func EarlyStopByName(name string) (func(event.TickSnapshot) bool, error) {
 	return campaign.EarlyStopByName(name)
 }

@@ -34,10 +34,10 @@ import (
 )
 
 // Version is the engine's semantic version, re-exported from
-// internal/version so campaign results and cache and checkpoint keys
-// stamp the same string the façade reports. Bump the minor on surface
-// additions and the major on breaking changes; every cmd/ binary reports it
-// via -version, and every sweep/campaign JSON export carries it.
+// internal/version so campaign results and cache keys stamp the same
+// string the façade reports. Bump the minor on surface additions and the
+// major on breaking changes; every cmd/ binary reports it via -version,
+// and every sweep/campaign JSON export carries it.
 const Version = version.Engine
 
 // Scenario declaratively describes one worksite operational situation. It is
