@@ -17,7 +17,7 @@ import (
 //     participates in the cancellation tree), or
 //   - the goroutine is a function literal that signals on its way out: a
 //     Done/Add/Wait call on a sync.WaitGroup-like type (any named type
-//     containing "Group", covering jobGroup), a send on a channel, a
+//     containing "Group", such as errgroup.Group), a send on a channel, a
 //     close(), or an observed context value.
 //
 // Deliberate fire-and-forget spawns carry //worksim:allow <reason>.
@@ -97,8 +97,7 @@ func groupJoinMethod(name string) bool {
 }
 
 // groupTyped reports whether expr's type (through pointers) is a named type
-// whose name contains "Group" — sync.WaitGroup, errgroup.Group, the serve
-// layer's jobGroup.
+// whose name contains "Group" — sync.WaitGroup, errgroup.Group.
 func groupTyped(info *types.Info, expr ast.Expr) bool {
 	if info == nil {
 		return false

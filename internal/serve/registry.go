@@ -2,32 +2,15 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
-
-// State is the lifecycle state of an asynchronous job.
-type State string
-
-// Job lifecycle: pending → running → done | failed | cancelled.
-const (
-	StatePending   State = "pending"
-	StateRunning   State = "running"
-	StateDone      State = "done"
-	StateFailed    State = "failed"
-	StateCancelled State = "cancelled"
-)
-
-// Terminal reports whether the state is final.
-func (s State) Terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCancelled
-}
 
 // registry is the in-memory job table behind /v1/runs and /v1/sweeps: IDs
 // are dense and ordered ("r-000001", "r-000002", ...) so listings are
 // deterministic and correlate trivially with request logs.
 type registry[T any] struct {
 	prefix string
+	kind   string // "run" or "sweep", for 404s and the listing key
 
 	mu   sync.Mutex
 	next int
@@ -35,8 +18,8 @@ type registry[T any] struct {
 	ids  []string // insertion (= ID) order
 }
 
-func newRegistry[T any](prefix string) *registry[T] {
-	return &registry[T]{prefix: prefix, jobs: make(map[string]T)}
+func newRegistry[T any](prefix, kind string) *registry[T] {
+	return &registry[T]{prefix: prefix, kind: kind, jobs: make(map[string]T)}
 }
 
 // add allocates the next ID and registers the job make builds for it.
@@ -59,14 +42,13 @@ func (r *registry[T]) get(id string) (T, bool) {
 	return j, ok
 }
 
-// all returns every job in ID order.
+// all returns every job in ID order, which is insertion order (a string
+// sort is not, once IDs outgrow their padding).
 func (r *registry[T]) all() []T {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ids := append([]string(nil), r.ids...)
-	sort.Strings(ids)
-	out := make([]T, 0, len(ids))
-	for _, id := range ids {
+	out := make([]T, 0, len(r.ids))
+	for _, id := range r.ids {
 		out = append(out, r.jobs[id])
 	}
 	return out

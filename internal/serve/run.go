@@ -3,11 +3,8 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"runtime/debug"
-	"sync"
 	"time"
 
 	"repro/internal/scenario"
@@ -53,38 +50,32 @@ type runStatus struct {
 	Report json.RawMessage `json:"report,omitempty"`
 }
 
-// runJob is one asynchronous simulation run.
+// runJob is one asynchronous simulation run: the job core plus the
+// resolved request it echoes and the event feed its SSE consumers read.
 type runJob struct {
-	id       string
+	job
 	scenario string
 	profile  string
 	seed     int64
 	horizon  time.Duration
 	log      *eventLog
-	cancel   context.CancelFunc
-
-	mu     sync.Mutex
-	state  State
-	errMsg string
-	report json.RawMessage
 }
 
 // status snapshots the job for the wire.
 func (j *runJob) status(withReport bool) runStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	state, errMsg, report := j.outcome()
 	st := runStatus{
 		ID:        j.id,
-		State:     j.state,
+		State:     state,
 		Scenario:  j.scenario,
 		Profile:   j.profile,
 		Seed:      j.seed,
 		HorizonNs: int64(j.horizon),
 		Events:    j.log.total(),
-		Error:     j.errMsg,
+		Error:     errMsg,
 	}
 	if withReport {
-		st.Report = j.report
+		st.Report = report
 	}
 	return st
 }
@@ -97,27 +88,6 @@ func (j *runJob) statusJSON() []byte {
 		return []byte(`{}`)
 	}
 	return b
-}
-
-// setState moves the job to a new state; terminal states stick.
-func (j *runJob) setState(s State) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.state.Terminal() {
-		j.state = s
-	}
-}
-
-// finish records the terminal outcome.
-func (j *runJob) finish(state State, report json.RawMessage, errMsg string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return
-	}
-	j.state = state
-	j.report = report
-	j.errMsg = errMsg
 }
 
 // resolveRunSpec turns a run request into a validated scenario spec plus
@@ -219,17 +189,15 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(s.root)
 	j := s.runs.add(func(id string) *runJob {
 		return &runJob{
-			id:       id,
+			job:      job{id: id, cancel: cancel, state: StatePending},
 			scenario: spec.Name,
 			profile:  profile,
 			seed:     seed,
 			horizon:  horizon,
 			log:      newEventLog(s.cfg.EventBuffer),
-			cancel:   cancel,
-			state:    StatePending,
 		}
 	})
 	// The event feed is the -trace encoding verbatim: one JSON line per
@@ -237,88 +205,31 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	sess.Subscribe(tracefmt.Observer(func(e worksite.Event) {
 		line, err := tracefmt.Marshal(e)
 		if err != nil {
-			s.log.Error("run event encode", "runID", j.id, "err", err.Error())
+			s.log.Error("run event encode", "jobID", j.id, "err", err.Error())
 			return
 		}
 		j.log.append(e.EventKind(), line)
 	}))
 
-	s.jobs.Add(1)
-	go s.executeRun(ctx, j, sess)
+	go s.execute(ctx, &j.job, runWork(sess, horizon), j.log.close)
 
-	s.log.Info("run submitted", "runID", j.id,
+	s.log.Info("run submitted", "jobID", j.id,
 		"scenario", spec.Name, "profile", profile, "seed", seed, "horizon", horizon.String())
 	w.Header().Set(headerJobID, j.id)
 	writeJSON(w, http.StatusAccepted, j.status(false))
 }
 
-// executeRun drives one run to completion on its own goroutine. A panic in
-// the run fails this job only: the recover, deferred last so it runs first,
-// records the failure before the event log closes and the slot is released.
-func (s *Server) executeRun(ctx context.Context, j *runJob, sess *worksite.Session) {
-	defer s.jobs.Add(-1)
-	defer s.releaseJobSlot()
-	defer j.log.close()
-	defer func() {
-		if r := recover(); r != nil {
-			j.finish(StateFailed, nil, fmt.Sprintf("panic: %v", r))
-			s.log.Error("run panicked", "runID", j.id, "panic", fmt.Sprint(r), "stack", string(debug.Stack()))
+// runWork is a run's work for the executor: advance the session over the
+// horizon and encode its report.
+func runWork(sess *worksite.Session, horizon time.Duration) func(context.Context) (json.RawMessage, error) {
+	return func(ctx context.Context) (json.RawMessage, error) {
+		if err := sess.RunFor(ctx, horizon); err != nil {
+			return nil, err
 		}
-	}()
-	j.setState(StateRunning)
-	err := sess.RunFor(ctx, j.horizon)
-	switch {
-	case err == nil:
-		rep, merr := json.Marshal(sess.Report())
-		if merr != nil {
-			j.finish(StateFailed, nil, "encode report: "+merr.Error())
-		} else {
-			j.finish(StateDone, rep, "")
+		rep, err := json.Marshal(sess.Report())
+		if err != nil {
+			return nil, fmt.Errorf("encode report: %v", err)
 		}
-	case errors.Is(err, context.Canceled):
-		j.finish(StateCancelled, nil, "")
-	default:
-		j.finish(StateFailed, nil, err.Error())
+		return rep, nil
 	}
-	st := j.status(false)
-	s.log.Info("run finished", "runID", j.id, "state", string(st.State),
-		"events", st.Events, "err", st.Error)
-}
-
-// handleGetRun is GET /v1/runs/{id}: full status including the final report
-// once done.
-func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.runs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, notFound("run", r.PathValue("id")))
-		return
-	}
-	w.Header().Set(headerJobID, j.id)
-	writeJSON(w, http.StatusOK, j.status(true))
-}
-
-// handleListRuns is GET /v1/runs: every run in ID order, reports elided.
-func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
-	jobs := s.runs.all()
-	out := make([]runStatus, 0, len(jobs))
-	for _, j := range jobs {
-		out = append(out, j.status(false))
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Runs []runStatus `json:"runs"`
-	}{out})
-}
-
-// handleCancelRun is DELETE /v1/runs/{id}: fire the run's context. The run
-// stops between control ticks; cancelling a finished run is a no-op.
-func (s *Server) handleCancelRun(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.runs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, notFound("run", r.PathValue("id")))
-		return
-	}
-	j.cancel()
-	s.log.Info("run cancel requested", "runID", j.id)
-	w.Header().Set(headerJobID, j.id)
-	writeJSON(w, http.StatusOK, j.status(false))
 }

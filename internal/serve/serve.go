@@ -15,14 +15,17 @@
 // encoding (internal/tracefmt); and sweeps fan out on the campaign engine's
 // bounded pool with its cancellation semantics.
 //
-// Lifecycle: POST /v1/runs registers a job and returns immediately with an
-// ID; the run advances on its own goroutine, feeding a bounded in-memory
-// event ring that any number of SSE consumers replay at their own pace
-// (slow consumers lose evicted events, they never stall the tick loop).
-// DELETE cancels through the run's context — cancellation lands between
-// control ticks, like every other context in the repo. On drain the server
-// stops accepting work, waits out in-flight jobs up to a deadline, then
-// cancels the stragglers and exits cleanly.
+// Lifecycle: runs and sweeps are one kind of job, with one executor and one
+// set of get/list/cancel handlers. A POST takes a quota slot, registers a
+// job and returns its ID at once; the job runs on its own goroutine, and a
+// run feeds a bounded in-memory event ring that any number of SSE consumers
+// replay at their own pace (slow consumers lose evicted events, they never
+// stall the tick loop). DELETE cancels through the job's context —
+// cancellation lands between control ticks, like every other context in
+// the repo. On drain the server stops accepting work, waits up to a
+// deadline for every submission it already accepted (counted from the slot
+// it took), then cancels the root context all jobs derive from and exits
+// cleanly.
 //
 // This package reads the wall clock (rate limiting, request logs, drain
 // deadlines) — serving infrastructure, never simulation state: the
@@ -135,7 +138,12 @@ type Server struct {
 	// per bundle for the server's lifetime.
 	comm worksite.Commissioner
 
-	jobs     jobGroup
+	// root is the context every job context derives from; stopJobs
+	// cancels it at the drain deadline.
+	root     context.Context
+	stopJobs context.CancelFunc
+	// active counts accepted submissions, from the slot a submit takes
+	// until its job ends; drain waits for it to reach 0.
 	active   atomic.Int64
 	draining atomic.Bool
 
@@ -172,9 +180,10 @@ func New(cfg Config) *Server {
 		log:    cfg.Logger,
 		now:    cfg.Now,
 		auth:   newAuthenticator(cfg.APIKeys, cfg.RatePerSec, cfg.Burst, cfg.Now),
-		runs:   newRegistry[*runJob]("r"),
-		sweeps: newRegistry[*sweepJob]("w"),
+		runs:   newRegistry[*runJob]("r", "run"),
+		sweeps: newRegistry[*sweepJob]("w", "sweep"),
 	}
+	s.root, s.stopJobs = context.WithCancel(context.Background())
 	s.handler = s.routes()
 	return s
 }
@@ -187,14 +196,14 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("GET /v1/version", s.handleVersion)
 	mux.HandleFunc("GET /v1/scenarios", s.handleScenarios)
 	mux.HandleFunc("POST /v1/runs", s.handleSubmitRun)
-	mux.HandleFunc("GET /v1/runs", s.handleListRuns)
-	mux.HandleFunc("GET /v1/runs/{id}", s.handleGetRun)
-	mux.HandleFunc("DELETE /v1/runs/{id}", s.handleCancelRun)
+	mux.HandleFunc("GET /v1/runs", listJobs(s.runs))
+	mux.HandleFunc("GET /v1/runs/{id}", getJob(s.runs))
+	mux.HandleFunc("DELETE /v1/runs/{id}", cancelJob(s.log, s.runs))
 	mux.HandleFunc("GET /v1/runs/{id}/events", s.handleRunEvents)
 	mux.HandleFunc("POST /v1/sweeps", s.handleSubmitSweep)
-	mux.HandleFunc("GET /v1/sweeps", s.handleListSweeps)
-	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleGetSweep)
-	mux.HandleFunc("DELETE /v1/sweeps/{id}", s.handleCancelSweep)
+	mux.HandleFunc("GET /v1/sweeps", listJobs(s.sweeps))
+	mux.HandleFunc("GET /v1/sweeps/{id}", getJob(s.sweeps))
+	mux.HandleFunc("DELETE /v1/sweeps/{id}", cancelJob(s.log, s.sweeps))
 	return s.logging(s.authenticate(mux))
 }
 
@@ -205,14 +214,15 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // Draining reports whether the server has stopped accepting new work.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// ActiveJobs returns the number of currently active (pending or running)
-// run and sweep jobs.
+// ActiveJobs returns the number of accepted run and sweep submissions whose
+// jobs have not ended yet.
 func (s *Server) ActiveJobs() int { return int(s.active.Load()) }
 
 // Serve runs the HTTP server on ln until ctx fires, then drains: it stops
 // accepting connections and new submissions, waits up to DrainTimeout for
-// in-flight jobs to finish, cancels the stragglers, and returns once every
-// job goroutine and connection has wound down. A clean drain returns nil.
+// every submission it already accepted to end, cancels the stragglers, and
+// returns once every job and connection has wound down. A clean drain
+// returns nil.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -264,61 +274,46 @@ func (s *Server) drain(httpSrv *http.Server) error {
 	shErr := make(chan error, 1)
 	go func() { shErr <- httpSrv.Shutdown(shCtx) }()
 
-	done := make(chan struct{})
-	go func() { s.jobs.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(timeout):
-		s.log.Warn("drain: deadline reached, cancelling in-flight jobs",
-			"activeJobs", s.active.Load())
-		s.cancelAllJobs()
-		<-done
+	// Wait on the slot count: a submission holding a slot is accepted work
+	// even before its job is registered.
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	poll := time.NewTicker(5 * time.Millisecond)
+	defer poll.Stop()
+	for s.active.Load() > 0 {
+		select {
+		case <-deadline.C:
+			s.log.Warn("drain: deadline reached, cancelling in-flight jobs",
+				"activeJobs", s.active.Load())
+			s.stopJobs()
+		case <-poll.C:
+		}
 	}
 	err := <-shErr
 	s.log.Info("drain: complete", "err", errString(err))
 	return err
 }
 
-// cancelAllJobs fires every registered job's context. Finished jobs ignore
-// it; active ones stop between control ticks.
-func (s *Server) cancelAllJobs() {
-	for _, j := range s.runs.all() {
-		j.cancel()
-	}
-	for _, j := range s.sweeps.all() {
-		j.cancel()
-	}
-}
-
 // acquireJobSlot reserves quota for one job, or reports the violated limit.
+// The slot is taken before the drain flag is read, so a drain that starts
+// concurrently either sees the slot and waits for it or is seen here.
 func (s *Server) acquireJobSlot() *apiError {
+	n := s.active.Add(1)
 	if s.draining.Load() {
+		s.releaseJobSlot()
 		return &apiError{Status: http.StatusServiceUnavailable, Code: "draining",
 			Message: "server is draining and no longer accepts new work"}
 	}
-	if max := s.cfg.MaxConcurrentJobs; max > 0 && s.active.Load() >= int64(max) {
+	if max := s.cfg.MaxConcurrentJobs; max > 0 && n > int64(max) {
+		s.releaseJobSlot()
 		return &apiError{Status: http.StatusTooManyRequests, Code: "quota_exceeded",
 			Message: "max concurrent jobs reached; retry after an active run or sweep finishes"}
 	}
-	s.active.Add(1)
 	return nil
 }
 
 // releaseJobSlot returns a reserved slot once the job goroutine ends.
 func (s *Server) releaseJobSlot() { s.active.Add(-1) }
-
-// jobGroup is a WaitGroup the drain path can Wait on repeatedly.
-type jobGroup struct{ wg atomic.Int64 }
-
-func (g *jobGroup) Add(n int64) { g.wg.Add(n) }
-
-// Wait spins until every registered job goroutine has exited. Jobs observe
-// cancelled contexts between control ticks, so the wait is short-lived.
-func (g *jobGroup) Wait() {
-	for g.wg.Load() > 0 {
-		time.Sleep(5 * time.Millisecond)
-	}
-}
 
 // discardHandler is a slog.Handler that drops everything (slog.DiscardHandler
 // arrives in go1.24; the module targets 1.22).

@@ -202,11 +202,12 @@ func TestAuthenticatorCheck(t *testing.T) {
 	}
 }
 
-// TestRegistryIDsAndOrder: dense prefixed IDs, lookup, and sorted listing.
+// TestRegistryIDsAndOrder: dense prefixed IDs, lookup, and ID-ordered
+// listing.
 func TestRegistryIDsAndOrder(t *testing.T) {
-	reg := newRegistry[*runJob]("r")
-	a := reg.add(func(id string) *runJob { return &runJob{id: id} })
-	b := reg.add(func(id string) *runJob { return &runJob{id: id} })
+	reg := newRegistry[*runJob]("r", "run")
+	a := reg.add(func(id string) *runJob { return &runJob{job: job{id: id}} })
+	b := reg.add(func(id string) *runJob { return &runJob{job: job{id: id}} })
 	if a.id != "r-000001" || b.id != "r-000002" {
 		t.Fatalf("ids = %q, %q, want r-000001, r-000002", a.id, b.id)
 	}
@@ -219,6 +220,24 @@ func TestRegistryIDsAndOrder(t *testing.T) {
 	all := reg.all()
 	if len(all) != 2 || all[0] != a || all[1] != b {
 		t.Fatalf("all() not in ID order: %v", all)
+	}
+}
+
+// TestRegistryOrderPastPadding: the listing stays in numeric ID order once
+// the IDs outgrow their six-digit padding, where string order would put
+// r-1000000 before r-999999.
+func TestRegistryOrderPastPadding(t *testing.T) {
+	reg := newRegistry[*runJob]("r", "run")
+	reg.next = 999_998
+	for i := 0; i < 3; i++ {
+		reg.add(func(id string) *runJob { return &runJob{job: job{id: id}} })
+	}
+	var got []string
+	for _, j := range reg.all() {
+		got = append(got, j.id)
+	}
+	if want := []string{"r-999999", "r-1000000", "r-1000001"}; strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("all() = %v, want %v", got, want)
 	}
 }
 
@@ -282,41 +301,230 @@ func TestSubmitCaps(t *testing.T) {
 	}
 }
 
-// TestExecuteRunPanicFailsJob: a panic inside a run (here a subscribed
-// observer) fails that job with the panic text instead of killing the
-// daemon, and still closes the event log and frees the job slot.
+// TestExecuteRunPanicFailsJob: a panic inside a job's work (a subscribed
+// run observer, or a sweep's work function) fails that job with the panic
+// text instead of killing the daemon, and the executor still closes the
+// run's event log and frees the job slot.
 func TestExecuteRunPanicFailsJob(t *testing.T) {
-	s := New(Config{})
-	spec, err := scenario.Get("baseline")
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name, panicText string
+		// start registers one job whose work panics and runs it through
+		// the executor; it returns the job's core and its event log (nil
+		// for a sweep, which has none).
+		start func(t *testing.T, s *Server) (*job, *eventLog)
+	}{
+		{"run", "panic: observer exploded", func(t *testing.T, s *Server) (*job, *eventLog) {
+			spec, err := scenario.Get("baseline")
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch, err := scenario.NewBatchWith(spec, &s.comm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, _, err := batch.Build(1, time.Minute)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess.Subscribe(&worksite.ObserverFuncs{Tick: func(worksite.TickSnapshot) { panic("observer exploded") }})
+			ctx, cancel := context.WithCancel(s.root)
+			j := s.runs.add(func(id string) *runJob {
+				return &runJob{job: job{id: id, cancel: cancel, state: StatePending}, horizon: time.Minute, log: newEventLog(8)}
+			})
+			s.execute(ctx, &j.job, runWork(sess, j.horizon), j.log.close)
+			return &j.job, j.log
+		}},
+		{"sweep", "panic: sweep exploded", func(t *testing.T, s *Server) (*job, *eventLog) {
+			ctx, cancel := context.WithCancel(s.root)
+			j := s.sweeps.add(func(id string) *sweepJob {
+				return &sweepJob{job: job{id: id, cancel: cancel, state: StatePending}}
+			})
+			s.execute(ctx, &j.job, func(context.Context) (json.RawMessage, error) { panic("sweep exploded") }, nil)
+			return &j.job, nil
+		}},
 	}
-	batch, err := scenario.NewBatchWith(spec, &s.comm)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{})
+			if apiErr := s.acquireJobSlot(); apiErr != nil {
+				t.Fatal(apiErr)
+			}
+			j, log := tc.start(t, s)
+			state, errMsg, _ := j.outcome()
+			if state != StateFailed || !strings.Contains(errMsg, tc.panicText) {
+				t.Fatalf("job after a panicking %s = %s %q, want failed with %q", tc.name, state, errMsg, tc.panicText)
+			}
+			if log != nil {
+				if _, _, closed, _ := log.since(0); !closed {
+					t.Fatal("event log left open after a panicking run")
+				}
+			}
+			if n := s.ActiveJobs(); n != 0 {
+				t.Fatalf("after a panicking %s: %d active jobs, want 0", tc.name, n)
+			}
+		})
 	}
-	sess, _, err := batch.Build(1, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess.Subscribe(&worksite.ObserverFuncs{Tick: func(worksite.TickSnapshot) { panic("observer exploded") }})
-	if apiErr := s.acquireJobSlot(); apiErr != nil {
-		t.Fatal(apiErr)
-	}
-	j := s.runs.add(func(id string) *runJob {
-		return &runJob{id: id, horizon: time.Minute, log: newEventLog(8), cancel: func() {}, state: StatePending}
-	})
-	s.jobs.Add(1)
-	s.executeRun(context.Background(), j, sess)
+}
 
-	st := j.status(false)
-	if st.State != StateFailed || !strings.Contains(st.Error, "panic: observer exploded") {
-		t.Fatalf("job after a panicking run = %s %q, want failed with the panic text", st.State, st.Error)
+// TestDrainWaitsForAcceptedSubmission: drain counts a submission from the
+// moment it takes its slot, before its job is registered, and a job
+// registered after the drain deadline starts out cancelled.
+func TestDrainWaitsForAcceptedSubmission(t *testing.T) {
+	t.Run("slot held", func(t *testing.T) {
+		s := New(Config{DrainTimeout: time.Minute})
+		if apiErr := s.acquireJobSlot(); apiErr != nil {
+			t.Fatal(apiErr)
+		}
+		done := make(chan error, 1)
+		go func() { done <- s.drain(&http.Server{}) }()
+		select {
+		case err := <-done:
+			t.Fatalf("drain returned (%v) while an accepted submission held its slot", err)
+		case <-time.After(200 * time.Millisecond):
+		}
+		s.releaseJobSlot()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("drain = %v, want nil", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("drain did not return once the slot was released")
+		}
+	})
+	t.Run("registered after the deadline", func(t *testing.T) {
+		s := New(Config{DrainTimeout: 20 * time.Millisecond})
+		if apiErr := s.acquireJobSlot(); apiErr != nil {
+			t.Fatal(apiErr)
+		}
+		done := make(chan error, 1)
+		go func() { done <- s.drain(&http.Server{}) }()
+		select {
+		case <-s.root.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatal("drain never cancelled the job root at its deadline")
+		}
+		// The submission that took the slot registers its job now, the way
+		// the submit handlers do.
+		ctx, cancel := context.WithCancel(s.root)
+		if ctx.Err() == nil {
+			t.Fatal("a job registered after the drain deadline got a live context")
+		}
+		j := s.sweeps.add(func(id string) *sweepJob {
+			return &sweepJob{job: job{id: id, cancel: cancel, state: StatePending}}
+		})
+		go s.execute(ctx, &j.job, func(ctx context.Context) (json.RawMessage, error) {
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}, nil)
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("drain = %v, want nil", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("drain did not return after the late job was cancelled")
+		}
+		if state, _, _ := j.outcome(); state != StateCancelled {
+			t.Fatalf("late job ended %s, want cancelled", state)
+		}
+	})
+}
+
+// TestCancelAndNotFoundBothKinds: runs and sweeps share one cancel and one
+// lookup. Cancelling a long job ends it cancelled, cancelling a finished
+// job leaves it done, and an unknown ID answers 404 not_found naming the
+// kind.
+func TestCancelAndNotFoundBothKinds(t *testing.T) {
+	kinds := []struct {
+		kind, path, long, short string
+		unknown                 []string // method and path pairs
+	}{
+		{"run", "/v1/runs",
+			`{"scenario":"baseline","horizonNs":86400000000000}`,
+			`{"scenario":"baseline","horizonNs":1000000000}`,
+			[]string{"GET /v1/runs/r-404", "DELETE /v1/runs/r-404", "GET /v1/runs/r-404/events"}},
+		{"sweep", "/v1/sweeps",
+			`{"scenarios":["baseline"],"profiles":["secured"],"durationNs":86400000000000}`,
+			`{"scenarios":["baseline"],"profiles":["secured"],"durationNs":1000000000}`,
+			[]string{"GET /v1/sweeps/w-404", "DELETE /v1/sweeps/w-404"}},
 	}
-	if _, _, closed, _ := j.log.since(0); !closed {
-		t.Fatal("event log left open after a panicking run")
+	s := New(Config{})
+	do := func(t *testing.T, method, path, body string) (int, []byte) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec.Code, rec.Body.Bytes()
 	}
-	if active, jobs := s.active.Load(), s.jobs.wg.Load(); active != 0 || jobs != 0 {
-		t.Fatalf("after a panicking run: %d active slots, %d job goroutines counted; want 0 and 0", active, jobs)
+	type status struct {
+		ID    string
+		State State
+	}
+	submit := func(t *testing.T, path, body string) string {
+		t.Helper()
+		code, b := do(t, http.MethodPost, path, body)
+		var st status
+		if err := json.Unmarshal(b, &st); code != http.StatusAccepted || err != nil || st.ID == "" {
+			t.Fatalf("POST %s: status %d body %s", path, code, b)
+		}
+		return st.ID
+	}
+	await := func(t *testing.T, path string) State {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			var st status
+			if _, b := do(t, http.MethodGet, path, ""); json.Unmarshal(b, &st) != nil {
+				t.Fatalf("GET %s: %s", path, b)
+			}
+			if st.State.Terminal() {
+				return st.State
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s still %s after 30s", path, st.State)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	for _, k := range kinds {
+		t.Run(k.kind+"/cancel long job", func(t *testing.T) {
+			job := k.path + "/" + submit(t, k.path, k.long)
+			if code, b := do(t, http.MethodDelete, job, ""); code != http.StatusOK {
+				t.Fatalf("DELETE %s: status %d body %s", job, code, b)
+			}
+			if state := await(t, job); state != StateCancelled {
+				t.Fatalf("cancelled %s ended %s, want cancelled", k.kind, state)
+			}
+		})
+		t.Run(k.kind+"/cancel finished job", func(t *testing.T) {
+			job := k.path + "/" + submit(t, k.path, k.short)
+			if state := await(t, job); state != StateDone {
+				t.Fatalf("short %s ended %s, want done", k.kind, state)
+			}
+			code, b := do(t, http.MethodDelete, job, "")
+			var st status
+			if err := json.Unmarshal(b, &st); code != http.StatusOK || err != nil || st.State != StateDone {
+				t.Fatalf("DELETE of a finished %s: status %d body %s, want 200 done", k.kind, code, b)
+			}
+			if state := await(t, job); state != StateDone {
+				t.Fatalf("finished %s became %s after DELETE, want done", k.kind, state)
+			}
+		})
+		t.Run(k.kind+"/unknown id", func(t *testing.T) {
+			for _, req := range k.unknown {
+				method, path, _ := strings.Cut(req, " ")
+				code, b := do(t, method, path, "")
+				var body struct{ Error apiError }
+				if err := json.Unmarshal(b, &body); err != nil || code != http.StatusNotFound ||
+					body.Error.Code != "not_found" || !strings.Contains(body.Error.Message, "no "+k.kind+" with id") {
+					t.Fatalf("%s: status %d body %s, want 404 not_found naming the %s", req, code, b, k.kind)
+				}
+			}
+		})
+	}
+	for deadline := time.Now().Add(10 * time.Second); s.ActiveJobs() > 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d jobs still active after every job ended", s.ActiveJobs())
+		}
 	}
 }

@@ -115,12 +115,10 @@ func (l *eventLog) since(after uint64) (batch []sseEntry, evicted uint64, closed
 // replay cursor that points at evicted events resumes at the oldest
 // retained event after an SSE comment stating the gap size.
 func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.runs.get(r.PathValue("id"))
+	j, ok := s.runs.lookup(w, r)
 	if !ok {
-		writeError(w, notFound("run", r.PathValue("id")))
 		return
 	}
-	w.Header().Set(headerJobID, j.id)
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, &apiError{Status: http.StatusInternalServerError,

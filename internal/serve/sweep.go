@@ -3,9 +3,8 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
+	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/campaign"
@@ -63,30 +62,26 @@ type sweepStatus struct {
 	Result json.RawMessage `json:"result,omitempty"`
 }
 
-// sweepJob is one asynchronous sweep.
+// sweepJob is one asynchronous sweep: the job core plus the axes it echoes
+// and the counters its progress reads.
 type sweepJob struct {
-	id        string
+	job
 	scenarios []string
 	profiles  []string
 	seeds     campaign.SeedRange
 	duration  time.Duration
 	total     int
 	stats     campaign.SweepStats
-	cancel    context.CancelFunc
-
-	mu     sync.Mutex
-	state  State
-	errMsg string
-	result json.RawMessage
 }
 
+// status snapshots the job for the wire. The state is read before the
+// counters, so a done sweep reports its final progress.
 func (j *sweepJob) status(withResult bool) sweepStatus {
+	state, errMsg, result := j.outcome()
 	v := j.stats.View()
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	st := sweepStatus{
 		ID:         j.id,
-		State:      j.state,
+		State:      state,
 		Scenarios:  j.scenarios,
 		Profiles:   j.profiles,
 		Seeds:      j.seeds,
@@ -96,31 +91,12 @@ func (j *sweepJob) status(withResult bool) sweepStatus {
 			Total:  j.total,
 			Cached: int(v.CacheHits),
 		},
-		Error: j.errMsg,
+		Error: errMsg,
 	}
 	if withResult {
-		st.Result = j.result
+		st.Result = result
 	}
 	return st
-}
-
-func (j *sweepJob) setState(s State) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.state.Terminal() {
-		j.state = s
-	}
-}
-
-func (j *sweepJob) finish(state State, result json.RawMessage, errMsg string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return
-	}
-	j.state = state
-	j.result = result
-	j.errMsg = errMsg
 }
 
 // handleSubmitSweep is POST /v1/sweeps: validate the axes synchronously,
@@ -204,17 +180,15 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(s.root)
 	j := s.sweeps.add(func(id string) *sweepJob {
 		return &sweepJob{
-			id:        id,
+			job:       job{id: id, cancel: cancel, state: StatePending},
 			scenarios: scenarios,
 			profiles:  profiles,
 			seeds:     seeds,
 			duration:  duration,
 			total:     cells * seeds.Count,
-			cancel:    cancel,
-			state:     StatePending,
 		}
 	})
 	opts := campaign.SweepOptions{
@@ -230,75 +204,20 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		Stats:         &j.stats,
 	}
 
-	s.jobs.Add(1)
-	go s.executeSweep(ctx, j, opts)
+	go s.execute(ctx, &j.job, func(ctx context.Context) (json.RawMessage, error) {
+		res, err := campaign.Sweep(ctx, opts)
+		if err != nil {
+			return nil, err
+		}
+		b, err := res.JSON()
+		if err != nil {
+			return nil, fmt.Errorf("encode result: %v", err)
+		}
+		return b, nil
+	}, nil)
 
-	s.log.Info("sweep submitted", "sweepID", j.id,
+	s.log.Info("sweep submitted", "jobID", j.id,
 		"cells", cells, "seeds", seeds.Count, "duration", duration.String())
 	w.Header().Set(headerJobID, j.id)
 	writeJSON(w, http.StatusAccepted, j.status(false))
-}
-
-// executeSweep drives one sweep to completion on its own goroutine.
-func (s *Server) executeSweep(ctx context.Context, j *sweepJob, opts campaign.SweepOptions) {
-	defer s.jobs.Add(-1)
-	defer s.releaseJobSlot()
-	j.setState(StateRunning)
-	res, err := campaign.Sweep(ctx, opts)
-	switch {
-	case err == nil:
-		b, jerr := res.JSON()
-		if jerr != nil {
-			j.finish(StateFailed, nil, "encode result: "+jerr.Error())
-		} else {
-			j.finish(StateDone, b, "")
-		}
-	case errors.Is(err, context.Canceled):
-		j.finish(StateCancelled, nil, "")
-	default:
-		j.finish(StateFailed, nil, err.Error())
-	}
-	st := j.status(false)
-	s.log.Info("sweep finished", "sweepID", j.id, "state", string(st.State),
-		"done", st.Progress.Done, "total", st.Progress.Total,
-		"cached", st.Progress.Cached, "err", st.Error)
-}
-
-// handleGetSweep is GET /v1/sweeps/{id}: status, progress and — once done —
-// the sweep result.
-func (s *Server) handleGetSweep(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.sweeps.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, notFound("sweep", r.PathValue("id")))
-		return
-	}
-	w.Header().Set(headerJobID, j.id)
-	writeJSON(w, http.StatusOK, j.status(true))
-}
-
-// handleListSweeps is GET /v1/sweeps: every sweep in ID order, results
-// elided.
-func (s *Server) handleListSweeps(w http.ResponseWriter, r *http.Request) {
-	jobs := s.sweeps.all()
-	out := make([]sweepStatus, 0, len(jobs))
-	for _, j := range jobs {
-		out = append(out, j.status(false))
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Sweeps []sweepStatus `json:"sweeps"`
-	}{out})
-}
-
-// handleCancelSweep is DELETE /v1/sweeps/{id}: fire the sweep's context;
-// the pool stops claiming seeds and in-flight runs stop between ticks.
-func (s *Server) handleCancelSweep(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.sweeps.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, notFound("sweep", r.PathValue("id")))
-		return
-	}
-	j.cancel()
-	s.log.Info("sweep cancel requested", "sweepID", j.id)
-	w.Header().Set(headerJobID, j.id)
-	writeJSON(w, http.StatusOK, j.status(false))
 }

@@ -13,14 +13,16 @@
 //	DELETE /v1/runs/{id}         cancel via the run's context
 //	POST   /v1/sweeps            async scenario × profile × seed sweep on the bounded pool
 //	GET    /v1/sweeps/{id}       sweep progress (seeds completed) and result
+//	DELETE /v1/sweeps/{id}       cancel via the sweep's context
 //	GET    /v1/scenarios         the named catalog, profiles and attack classes
 //	GET    /v1/healthz           liveness + drain state (unauthenticated)
 //	GET    /v1/version           façade version (unauthenticated)
 //
-// Cross-cutting: static API-key auth, per-key token-bucket rate limiting, a
-// concurrent-job quota, structured request logs with job-ID correlation,
-// and graceful drain (Serve returns cleanly once its context fires and
-// every job wound down).
+// Runs and sweeps share one job lifecycle: the same states, panic handling,
+// cancel and listing semantics. Cross-cutting: static API-key auth, per-key
+// token-bucket rate limiting, a concurrent-job quota, structured request
+// logs with job-ID correlation, and graceful drain (Serve returns cleanly
+// once its context fires and every submission it accepted wound down).
 package serve
 
 import (
