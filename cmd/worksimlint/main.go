@@ -1,15 +1,16 @@
 // Command worksimlint runs the repository's static-analysis suite — the
-// six analyzers that make the simulator's core invariants structural:
+// five analyzers that make the simulator's core invariants structural:
 // determinism (no wall clock / ambient randomness / map-ordered output in
 // simulation packages), facadeboundary (cmd/ and examples/ use only the
 // public repro/worksim... façade; internal/ never imports it back),
 // ctxdiscipline (leading context.Context on exported blocking façade APIs;
-// //worksim:tickloop loops check cancellation), gohygiene (every go
-// statement in the simulation packages is join-tracked), syncmisuse (sync
-// primitives copied by value, fields mixing atomic and plain access,
-// time.Sleep in tick loops), and escapebudget (the gc compiler's own
-// escape/inlining diagnostics gated per //worksim:hotpath function against
-// lint/escape_budget.json with ratchet semantics).
+// //worksim:tickloop loops check cancellation and never call time.Sleep),
+// gohygiene (every go statement in the simulation packages is join-tracked;
+// counters are typed atomics, never sync/atomic function calls), and
+// escapebudget (the gc compiler's own escape/inlining diagnostics gated per
+// //worksim:hotpath function against lint/escape_budget.json with ratchet
+// semantics). Sync primitives copied by value are go vet's copylocks check
+// and are not repeated here.
 //
 // Usage:
 //

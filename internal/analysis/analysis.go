@@ -1,6 +1,6 @@
 // Package analysis is the static-analysis layer of the repository: a small
 // analyzer framework in the spirit of golang.org/x/tools/go/analysis (which
-// the build environment does not vendor), plus the six worksim analyzers
+// the build environment does not vendor), plus the five worksim analyzers
 // that make the simulator's core invariants structural rather than
 // empirical:
 //
@@ -9,17 +9,21 @@
 //   - facadeboundary: cmd/ and examples/ reach the engine only through
 //     repro/worksim..., and internal/ never imports the façade back.
 //   - ctxdiscipline: exported blocking APIs of the façade take a leading
-//     context.Context, and //worksim:tickloop loops check cancellation.
+//     context.Context, and //worksim:tickloop loops check cancellation and
+//     never call time.Sleep.
 //   - gohygiene: every go statement in the simulation packages is
 //     join-tracked (WaitGroup-style Done, channel send/close, or an
-//     observed context), so no goroutine outlives its owner invisibly.
-//   - syncmisuse: sync primitives copied by value, struct fields accessed
-//     both atomically and plainly, and time.Sleep inside tick loops.
+//     observed context), so no goroutine outlives its owner invisibly; and
+//     no package calls sync/atomic functions, so shared counters are typed
+//     atomics.
 //   - escapebudget: the gc compiler's own escape-analysis and inlining
 //     diagnostics (go build -gcflags=-m=2), gated per //worksim:hotpath
 //     function against the checked-in budgets in lint/escape_budget.json
 //     with ratchet semantics — both a new escape and an unrecorded
 //     improvement fail, so optimization wins get locked in.
+//
+// Sync primitives copied by value are go vet's copylocks check, a required
+// CI step beside worksimlint; the suite does not repeat it.
 //
 // Three comment directives steer the analyzers:
 //
@@ -317,6 +321,6 @@ func SortDiagnostics(diags []Diagnostic) {
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism, FacadeBoundary, CtxDiscipline,
-		GoHygiene, SyncMisuse, EscapeBudgetAnalyzer,
+		GoHygiene, EscapeBudgetAnalyzer,
 	}
 }

@@ -2,8 +2,12 @@ package analysis_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"go/token"
+	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -56,8 +60,62 @@ func TestGoHygieneFixture(t *testing.T) {
 	analysistest.Run(t, fixture("gohygiene", "spawn"), analysis.GoHygiene)
 }
 
-func TestSyncMisuseFixture(t *testing.T) {
-	analysistest.Run(t, fixture("syncmisuse", "prims"), analysis.SyncMisuse)
+// TestGoHygieneCountersFixture: outside the simulation packages the
+// typed-atomics rule still applies while join-tracking does not.
+func TestGoHygieneCountersFixture(t *testing.T) {
+	analysistest.Run(t, fixture("gohygiene", "counters"), analysis.GoHygiene)
+}
+
+// vetPosn splits go vet's file:line:col position.
+var vetPosn = regexp.MustCompile(`^(.+):(\d+):(\d+)$`)
+
+// TestVetCopyLocksFixture pins the ownership of lock copies: go vet's
+// copylocks check, a required CI step, reports every by-value copy of a sync
+// primitive in the fixture, including a struct that contains one, and
+// nothing at the clean counterparts.
+func TestVetCopyLocksFixture(t *testing.T) {
+	dir, err := filepath.Abs(fixture("copylocks", "prims"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := analysis.LoadFixture(dir)
+	if err != nil {
+		t.Fatalf("load fixture: %v", err)
+	}
+	// With -json, vet exits 0 on findings and writes them to stderr after
+	// a "# package" header line.
+	cmd := exec.Command("go", "vet", "-copylocks", "-json", ".")
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("go vet: %v\n%s", err, out)
+	}
+	var report map[string]map[string][]struct{ Posn, Message string }
+	var body []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			body = append(body, line)
+		}
+	}
+	if err := json.Unmarshal([]byte(strings.Join(body, "\n")), &report); err != nil {
+		t.Fatalf("decode go vet -json output: %v\n%s", err, out)
+	}
+	var diags []analysis.Diagnostic
+	for _, byAnalyzer := range report {
+		for name, findings := range byAnalyzer {
+			for _, f := range findings {
+				m := vetPosn.FindStringSubmatch(f.Posn)
+				if m == nil {
+					t.Fatalf("unparsable go vet position %q", f.Posn)
+				}
+				line, _ := strconv.Atoi(m[2])
+				col, _ := strconv.Atoi(m[3])
+				diags = append(diags, analysis.Diagnostic{Analyzer: name,
+					Pos: token.Position{Filename: m[1], Line: line, Column: col}, Message: f.Message})
+			}
+		}
+	}
+	analysistest.Check(t, pkg, diags)
 }
 
 // TestAuditLedger pins the -audit contract against the gohygiene fixture: the

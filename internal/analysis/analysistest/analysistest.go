@@ -49,6 +49,15 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	if err != nil {
 		t.Fatalf("run %s: %v", a.Name, err)
 	}
+	Check(t, pkg, diags)
+}
+
+// Check fails the test unless diags and the `// want` expectations of the
+// loaded fixture package match one-to-one. Diagnostics from a checker
+// outside the suite, such as go vet, are checked the same way once
+// converted, with file names spelled as the package's own.
+func Check(t *testing.T, pkg *analysis.Package, diags []analysis.Diagnostic) {
+	t.Helper()
 	wants := collectWants(t, pkg)
 	for _, d := range diags {
 		if !claim(wants, d) {

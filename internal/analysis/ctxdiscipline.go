@@ -21,11 +21,14 @@ import (
 //     may run for millions of iterations — must actually consult their
 //     context (ctx.Err() or ctx.Done()) in the loop body. Deleting the
 //     per-tick cancellation check turns mid-run cancellation into a no-op;
-//     this rule makes that a lint failure instead of a flaky test.
+//     this rule makes that a lint failure instead of a flaky test. The same
+//     loops must not call time.Sleep: the simulation advances on virtual
+//     time, so a host sleep stalls the scheduler without simulating
+//     anything.
 var CtxDiscipline = &Analyzer{
 	Name: "ctxdiscipline",
-	Doc: "require leading context.Context on exported blocking façade APIs and " +
-		"a cancellation check inside every //worksim:tickloop loop",
+	Doc: "require leading context.Context on exported blocking façade APIs, and " +
+		"a cancellation check and no time.Sleep inside every //worksim:tickloop loop",
 	Run: runCtxDiscipline,
 }
 
@@ -52,13 +55,31 @@ func runCtxDiscipline(pass *Pass) error {
 				return true
 			}
 			line := pass.Fset.Position(n.Pos()).Line
-			if tickLines[line-1] && !containsCtxCheck(pass.Info, body) {
+			if !tickLines[line-1] {
+				return true
+			}
+			if !containsCtxCheck(pass.Info, body) {
 				pass.Reportf(n.Pos(), "loop marked //worksim:tickloop must check cancellation each iteration (ctx.Err() or ctx.Done()); without it mid-run cancellation is a no-op")
 			}
+			reportHostSleeps(pass, body)
 			return true
 		})
 	}
 	return nil
+}
+
+// reportHostSleeps flags every time.Sleep call in a tick loop's body.
+func reportHostSleeps(pass *Pass, body *ast.BlockStmt) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if name, ok := pkgFuncCall(pass.Info, call, "time"); ok && name == "Sleep" {
+			pass.Reportf(call.Pos(), "time.Sleep inside a //worksim:tickloop loop stalls the scheduler on host time; advance virtual time through the simulation clock instead")
+		}
+		return true
+	})
 }
 
 // checkExportedSignature applies the façade signature rules to one function

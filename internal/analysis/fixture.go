@@ -53,12 +53,7 @@ func LoadFixture(dir string) (*Package, error) {
 		real:  importer.ForCompiler(fset, "gc", lk.lookup),
 		stubs: make(map[string]*types.Package),
 	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
+	info := newInfo()
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(path, fset, files, info)
 	if err != nil {

@@ -6,12 +6,14 @@ import (
 	"strings"
 )
 
-// GoHygiene enforces goroutine join-tracking inside the simulation packages
-// (repro/internal/... and repro/worksim...): the engine promises "cancelled
-// Sweep drains goroutines" and the serve layer promises a graceful drain, so
-// an untracked `go` statement — one whose goroutine nothing can wait for —
-// is a leak the race detector only notices when a schedule happens to
-// trigger it. A go statement passes when its completion is observable:
+// GoHygiene enforces two concurrency rules whose violations the race
+// detector only catches when a schedule happens to expose them.
+//
+// Inside the simulation packages (repro/internal/... and repro/worksim...),
+// every go statement is join-tracked: the engine promises "cancelled Sweep
+// drains goroutines" and the serve layer promises a graceful drain, so a
+// goroutine nothing can wait for is a leak. A go statement passes when its
+// completion is observable:
 //
 //   - the spawned call carries a context.Context argument (the goroutine
 //     participates in the cancellation tree), or
@@ -20,26 +22,34 @@ import (
 //     containing "Group", such as errgroup.Group), a send on a channel, a
 //     close(), or an observed context value.
 //
-// Deliberate fire-and-forget spawns carry //worksim:allow <reason>.
+// In every package, shared counters and flags are typed atomics
+// (atomic.Int64, atomic.Bool, atomic.Pointer[T], …): any call to a
+// sync/atomic package function such as atomic.AddInt64(&x.n, 1) is
+// reported. Such a call leaves the field open to plain loads and stores
+// that race with it, while a typed atomic admits no other access.
+//
+// Deliberate exceptions carry //worksim:allow <reason>.
 var GoHygiene = &Analyzer{
 	Name: "gohygiene",
 	Doc: "require every go statement in the simulation packages to be " +
-		"join-tracked (WaitGroup/…Group, channel send/close, or an observed context)",
+		"join-tracked (WaitGroup/…Group, channel send/close, or an observed context), " +
+		"and typed atomics instead of sync/atomic functions everywhere",
 	Run: runGoHygiene,
 }
 
 func runGoHygiene(pass *Pass) error {
-	if !simulationPackage(pass.Path) {
-		return nil
-	}
+	simulation := simulationPackage(pass.Path)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			gs, ok := n.(*ast.GoStmt)
-			if !ok {
-				return true
-			}
-			if !joinTracked(pass.Info, gs) {
-				pass.Reportf(gs.Pos(), "go statement is not join-tracked: nothing can wait for this goroutine (no WaitGroup/…Group signal, channel send/close, or context in the spawned code); leaks like this survive until the race detector gets lucky — track it or mark deliberate fire-and-forget with //worksim:allow <reason>")
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				if simulation && !joinTracked(pass.Info, n) {
+					pass.Reportf(n.Pos(), "go statement is not join-tracked: nothing can wait for this goroutine (no WaitGroup/…Group signal, channel send/close, or context in the spawned code); leaks like this survive until the race detector gets lucky — track it or mark deliberate fire-and-forget with //worksim:allow <reason>")
+				}
+			case *ast.CallExpr:
+				if name, ok := pkgFuncCall(pass.Info, n, "sync/atomic"); ok {
+					pass.Reportf(n.Pos(), "atomic.%s on a plain variable: nothing stops other code from loading or storing it plainly, racing with this call; declare it as a typed atomic (atomic.Int64, atomic.Bool, atomic.Pointer[T], …)", name)
+				}
 			}
 			return true
 		})

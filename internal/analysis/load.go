@@ -135,6 +135,15 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
+// newInfo allocates the type information the analyzers read: expression
+// types and identifier uses.
+func newInfo() *types.Info {
+	return &types.Info{
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Uses:  make(map[*ast.Ident]types.Object),
+	}
+}
+
 // typecheck parses and type-checks one listed package from source, importing
 // its dependencies from export data.
 func typecheck(fset *token.FileSet, imp types.Importer, t listedPackage) (*Package, error) {
@@ -146,12 +155,7 @@ func typecheck(fset *token.FileSet, imp types.Importer, t listedPackage) (*Packa
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
+	info := newInfo()
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(t.ImportPath, fset, files, info)
 	if err != nil {

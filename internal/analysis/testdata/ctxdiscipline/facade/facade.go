@@ -1,10 +1,14 @@
 //worksimtest:importpath repro/worksim/fixture
 
 // Package fixture exercises the ctxdiscipline analyzer: exported façade
-// signatures and //worksim:tickloop cancellation checks.
+// signatures, and the cancellation check and host-sleep ban in
+// //worksim:tickloop loops.
 package fixture
 
-import "context"
+import (
+	"context"
+	"time"
+)
 
 // Drain spins unboundedly with no cancellation seam.
 func Drain(step func() bool) { // want `unbounded loop but takes no context\.Context`
@@ -40,6 +44,20 @@ func Spin(ctx context.Context) {
 		done = true
 	}
 	_ = ctx
+}
+
+// Throttle stalls a tick loop on host time; sleeping outside one is clean.
+func Throttle(ctx context.Context, ticks <-chan struct{}) {
+	//worksim:tickloop
+	for range ticks {
+		if ctx.Err() != nil {
+			return
+		}
+		time.Sleep(time.Millisecond) // want `time\.Sleep inside a //worksim:tickloop loop`
+	}
+	for range ticks {
+		time.Sleep(time.Millisecond) // clean: not a tick loop
+	}
 }
 
 // Pump is suppressed: the caller owns cancellation one layer up.

@@ -58,8 +58,10 @@ func TestSeedRange(t *testing.T) {
 	if len(got) != 3 || got[0] != 5 || got[2] != 7 {
 		t.Fatalf("Seeds() = %v", got)
 	}
-	if (SeedRange{Base: 1, Count: 0}).Seeds() != nil && len((SeedRange{Count: 0}).Seeds()) != 0 {
-		t.Fatal("empty range not empty")
+	for _, count := range []int{0, -2} {
+		if got := (SeedRange{Base: 1, Count: count}).Seeds(); got != nil {
+			t.Fatalf("Count %d: Seeds() = %v, want nil", count, got)
+		}
 	}
 }
 
@@ -158,8 +160,11 @@ func TestRunSeedIndependentCollapses(t *testing.T) {
 }
 
 func TestRunEmptySeedRange(t *testing.T) {
-	if _, err := Run(context.Background(), seedEcho(), Options{}); err == nil {
-		t.Fatal("empty seed range accepted")
+	for _, count := range []int{0, -2} {
+		_, err := Run(context.Background(), seedEcho(), Options{Seeds: SeedRange{Base: 1, Count: count}})
+		if err == nil || !strings.Contains(err.Error(), "empty seed range") {
+			t.Fatalf("Count %d: err = %v, want empty seed range", count, err)
+		}
 	}
 }
 

@@ -22,8 +22,11 @@ type SeedRange struct {
 	Count int   `json:"count"`
 }
 
-// Seeds expands the range.
+// Seeds expands the range; a Count of zero or less expands to nil.
 func (s SeedRange) Seeds() []int64 {
+	if s.Count <= 0 {
+		return nil
+	}
 	out := make([]int64, 0, s.Count)
 	for i := 0; i < s.Count; i++ {
 		out = append(out, s.Base+int64(i))

@@ -55,6 +55,42 @@ func notFound(kind, id string) *apiError {
 		Message: fmt.Sprintf("no %s with id %q", kind, id)}
 }
 
+// routeErrors answers the requests mux cannot route with the error
+// envelope instead of net/http's text/plain pages: an unknown path is 404
+// not_found, and a known path asked with the wrong method is 405
+// method_not_allowed, keeping the Allow header the mux computes.
+func routeErrors(mux *http.ServeMux) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h, pattern := mux.Handler(r)
+		if pattern != "" {
+			mux.ServeHTTP(w, r)
+			return
+		}
+		probe := headerProbe{header: make(http.Header)}
+		h.ServeHTTP(&probe, r)
+		if probe.status != http.StatusMethodNotAllowed {
+			writeError(w, &apiError{Status: http.StatusNotFound, Code: "not_found",
+				Message: fmt.Sprintf("no route for %s %s", r.Method, r.URL.Path)})
+			return
+		}
+		allow := probe.header.Get("Allow")
+		w.Header().Set("Allow", allow)
+		writeError(w, &apiError{Status: http.StatusMethodNotAllowed, Code: "method_not_allowed",
+			Message: fmt.Sprintf("%s %s is not allowed; allowed: %s", r.Method, r.URL.Path, allow)})
+	})
+}
+
+// headerProbe is a ResponseWriter that keeps the status and headers a
+// handler sets and discards its body.
+type headerProbe struct {
+	header http.Header
+	status int
+}
+
+func (p *headerProbe) Header() http.Header         { return p.header }
+func (p *headerProbe) Write(b []byte) (int, error) { return len(b), nil }
+func (p *headerProbe) WriteHeader(status int)      { p.status = status }
+
 // specError maps a spec/build rejection to 422, carrying the field name when
 // the failure is a typed scenario.SpecError.
 func specError(err error) *apiError {

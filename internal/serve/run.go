@@ -26,7 +26,8 @@ type runRequest struct {
 	// Seed roots the run's random streams (default 42).
 	Seed *int64 `json:"seed,omitempty"`
 	// HorizonNs is the simulated duration in nanoseconds; 0 falls back to
-	// the spec's declared horizon, then the 10-minute default.
+	// the spec's declared horizon, then the 10-minute default; a negative
+	// value is rejected.
 	HorizonNs int64 `json:"horizonNs,omitempty"`
 }
 
@@ -160,8 +161,12 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	if req.Seed != nil {
 		seed = *req.Seed
 	}
+	if req.HorizonNs < 0 {
+		writeError(w, invalidField("horizonNs", "horizon must be positive"))
+		return
+	}
 	horizon := time.Duration(req.HorizonNs)
-	if horizon <= 0 {
+	if horizon == 0 {
 		if spec.Horizon > 0 {
 			horizon = spec.Horizon
 		} else {

@@ -204,7 +204,7 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("GET /v1/sweeps", listJobs(s.sweeps))
 	mux.HandleFunc("GET /v1/sweeps/{id}", getJob(s.sweeps))
 	mux.HandleFunc("DELETE /v1/sweeps/{id}", cancelJob(s.log, s.sweeps))
-	return s.logging(s.authenticate(mux))
+	return s.logging(s.authenticate(routeErrors(mux)))
 }
 
 // Handler returns the server's HTTP handler (auth + rate limiting + logging

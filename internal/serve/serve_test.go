@@ -266,6 +266,7 @@ func TestSubmitCaps(t *testing.T) {
 		name, path, body, field string
 	}{
 		{"run horizon", "/v1/runs", fmt.Sprintf(`{"scenario":"baseline","horizonNs":%d}`, overDay), "horizonNs"},
+		{"negative run horizon", "/v1/runs", `{"scenario":"baseline","horizonNs":-5}`, "horizonNs"},
 		{"declared spec horizon", "/v1/runs", fmt.Sprintf(`{"spec":{"horizonNs":%d}}`, overDay), "horizonNs"},
 		{"sweep duration", "/v1/sweeps", fmt.Sprintf(`{"durationNs":%d}`, overDay), "durationNs"},
 		{"sweep parallel", "/v1/sweeps", fmt.Sprintf(`{"parallel":%d}`, maxParallel+1), "parallel"},
@@ -526,5 +527,43 @@ func TestCancelAndNotFoundBothKinds(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d jobs still active after every job ended", s.ActiveJobs())
 		}
+	}
+}
+
+// TestRouteErrorsUseEnvelope: a path no route serves answers 404 not_found
+// and a routed path asked with the wrong method answers 405
+// method_not_allowed with its Allow header, both in the JSON error envelope
+// rather than net/http's text/plain pages.
+func TestRouteErrorsUseEnvelope(t *testing.T) {
+	cases := []struct {
+		method, path string
+		status       int
+		code, allow  string
+	}{
+		{http.MethodGet, "/v1/sweeps/nope/events", http.StatusNotFound, "not_found", ""},
+		{http.MethodGet, "/v2/runs", http.StatusNotFound, "not_found", ""},
+		{http.MethodPut, "/v1/runs", http.StatusMethodNotAllowed, "method_not_allowed", "GET, HEAD, POST"},
+		{http.MethodPost, "/v1/runs/r-1", http.StatusMethodNotAllowed, "method_not_allowed", "DELETE, GET, HEAD"},
+		{http.MethodDelete, "/v1/healthz", http.StatusMethodNotAllowed, "method_not_allowed", "GET, HEAD"},
+	}
+	s := New(Config{})
+	for _, tc := range cases {
+		t.Run(tc.method+" "+tc.path, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, nil))
+			var body struct{ Error apiError }
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+				t.Fatalf("decode %q: %v", rec.Body, err)
+			}
+			if rec.Code != tc.status || body.Error.Code != tc.code {
+				t.Fatalf("status %d code %q, want %d %q (body %s)", rec.Code, body.Error.Code, tc.status, tc.code, rec.Body)
+			}
+			if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+				t.Errorf("Content-Type = %q, want application/json", ct)
+			}
+			if allow := rec.Header().Get("Allow"); allow != tc.allow {
+				t.Errorf("Allow = %q, want %q", allow, tc.allow)
+			}
+		})
 	}
 }

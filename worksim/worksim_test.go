@@ -208,3 +208,17 @@ func TestParseSpecOverlay(t *testing.T) {
 		t.Fatalf("RunUntil = (%v, %v), want fired", fired, err)
 	}
 }
+
+// TestSweepEmptySeedRange: a seed count of zero or less is an error, not a
+// panic, before any run starts.
+func TestSweepEmptySeedRange(t *testing.T) {
+	for _, count := range []int{0, -2} {
+		_, err := worksim.Sweep(context.Background(), worksim.SweepOptions{
+			Scenarios: []string{"baseline"},
+			Seeds:     worksim.SeedRange{Base: 1, Count: count},
+		})
+		if err == nil || !strings.Contains(err.Error(), "empty seed range") {
+			t.Fatalf("Count %d: err = %v, want empty seed range", count, err)
+		}
+	}
+}
