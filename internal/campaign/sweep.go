@@ -4,11 +4,13 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/report"
 	"repro/internal/resultcache"
+	"repro/internal/rng"
 	"repro/internal/scenario"
 	"repro/internal/shard"
 	"repro/internal/version"
@@ -439,12 +441,21 @@ func (e *sweepEnv) done() {
 	}
 }
 
+// slabPool recycles the random-stream slabs of finished sweep runs.
+var slabPool = sync.Pool{New: func() any { return new(rng.Slab) }}
+
 // execute runs one (scenario, profile, seed) simulation: build the session,
 // subscribe the sampler when sampling is on, and run it to the horizon or
 // the early-stop tick. A nil EarlyStop runs straight to the horizon, the
-// same bytes as an uninstrumented run.
+// same bytes as an uninstrumented run. The session's streams come from a
+// pooled slab, which goes back only after the outcome has been read.
 func (e *sweepEnv) execute(ctx context.Context, cell cellRef, p Params) (Outcome, error) {
-	sess, _, err := cell.batch.Build(p.Seed, p.Duration)
+	slab := slabPool.Get().(*rng.Slab)
+	defer func() {
+		slab.Reset()
+		slabPool.Put(slab)
+	}()
+	sess, _, err := cell.batch.BuildOn(slab, p.Seed, p.Duration)
 	if err != nil {
 		return Outcome{}, err
 	}

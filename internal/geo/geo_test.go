@@ -153,7 +153,7 @@ func TestFirstObstruction(t *testing.T) {
 
 func TestFindPathStraight(t *testing.T) {
 	g := mustGrid(t, 10, 10, 1)
-	path, err := g.FindPath(V(0.5, 0.5), V(9.5, 0.5))
+	path, err := g.FindPath(nil, V(0.5, 0.5), V(9.5, 0.5))
 	if err != nil {
 		t.Fatalf("FindPath: %v", err)
 	}
@@ -172,7 +172,7 @@ func TestFindPathAroundWall(t *testing.T) {
 	for row := 0; row < 9; row++ {
 		g.Set(C(5, row), Rock)
 	}
-	path, err := g.FindPath(V(1.5, 1.5), V(8.5, 1.5))
+	path, err := g.FindPath(nil, V(1.5, 1.5), V(8.5, 1.5))
 	if err != nil {
 		t.Fatalf("FindPath: %v", err)
 	}
@@ -196,7 +196,7 @@ func TestFindPathNoRoute(t *testing.T) {
 	for row := 0; row < 10; row++ {
 		g.Set(C(5, row), Rock)
 	}
-	_, err := g.FindPath(V(1.5, 1.5), V(8.5, 1.5))
+	_, err := g.FindPath(nil, V(1.5, 1.5), V(8.5, 1.5))
 	if !errors.Is(err, ErrNoPath) {
 		t.Fatalf("err = %v, want ErrNoPath", err)
 	}
@@ -204,7 +204,7 @@ func TestFindPathNoRoute(t *testing.T) {
 
 func TestFindPathStartEqualsGoal(t *testing.T) {
 	g := mustGrid(t, 5, 5, 1)
-	path, err := g.FindPath(V(2.5, 2.5), V(2.6, 2.6))
+	path, err := g.FindPath(nil, V(2.5, 2.5), V(2.6, 2.6))
 	if err != nil {
 		t.Fatalf("FindPath: %v", err)
 	}
@@ -216,7 +216,7 @@ func TestFindPathStartEqualsGoal(t *testing.T) {
 func TestFindPathPrefersRoad(t *testing.T) {
 	g := mustGrid(t, 20, 3, 1)
 	g.CarveRoad(V(0.5, 1.5), V(19.5, 1.5))
-	path, err := g.FindPath(V(0.5, 0.5), V(19.5, 0.5))
+	path, err := g.FindPath(nil, V(0.5, 0.5), V(19.5, 0.5))
 	if err != nil {
 		t.Fatalf("FindPath: %v", err)
 	}
@@ -270,6 +270,16 @@ func TestGenerateForestPreservesRoads(t *testing.T) {
 	}
 }
 
+// traverse returns the cells the walker yields for segment a→b, in order.
+func (g *Grid) traverse(a, b Vec) []Cell {
+	w := newGridWalker(g, a, b)
+	var cells []Cell
+	for c, ok := w.next(); ok; c, ok = w.next() {
+		cells = append(cells, c)
+	}
+	return cells
+}
+
 func TestPropertyTraverseConnectsEndpoints(t *testing.T) {
 	g := mustGrid(t, 30, 30, 1)
 	f := func(ax, ay, bx, by uint8) bool {
@@ -309,7 +319,7 @@ func TestPropertyPathEndsAtGoalAndStaysDrivable(t *testing.T) {
 			return true // skip blocked goals
 		}
 		goal := g.Center(goalCell)
-		path, err := g.FindPath(V(0.5, 0.5), goal)
+		path, err := g.FindPath(nil, V(0.5, 0.5), goal)
 		if errors.Is(err, ErrNoPath) {
 			return true // disconnected pockets are legitimate
 		}

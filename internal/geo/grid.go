@@ -2,6 +2,7 @@ package geo
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/rng"
 )
@@ -59,6 +60,10 @@ func NewGrid(cols, rows int, cellSize float64) (*Grid, error) {
 	}
 	if cellSize <= 0 {
 		return nil, fmt.Errorf("cell size must be positive, got %g", cellSize)
+	}
+	// The planner indexes cells with int32.
+	if cols > math.MaxInt32/rows {
+		return nil, fmt.Errorf("grid of %dx%d cells exceeds %d cells", cols, rows, math.MaxInt32)
 	}
 	return &Grid{
 		cols:     cols,
@@ -139,8 +144,8 @@ func (g *Grid) FirstObstruction(a, b Vec) (Cell, bool) {
 	return g.firstOccluder(a, b)
 }
 
-// firstOccluder walks the same cell sequence as traverse and returns the
-// first occluding cell strictly between the endpoints' own cells.
+// firstOccluder walks the cells of segment a→b and returns the first
+// occluding cell strictly between the endpoints' own cells.
 func (g *Grid) firstOccluder(a, b Vec) (Cell, bool) {
 	start, end := g.CellOf(a), g.CellOf(b)
 	w := newGridWalker(g, a, b)
@@ -155,21 +160,6 @@ func (g *Grid) firstOccluder(a, b Vec) (Cell, bool) {
 		if g.At(c).Occludes() {
 			return c, true
 		}
-	}
-}
-
-// traverse returns the cells intersected by segment a→b in order, using an
-// Amanatides–Woo DDA walk over the grid. Hot-path callers (LineOfSight)
-// iterate the walker directly instead of materialising the slice.
-func (g *Grid) traverse(a, b Vec) []Cell {
-	w := newGridWalker(g, a, b)
-	var cells []Cell
-	for {
-		c, ok := w.next()
-		if !ok {
-			return cells
-		}
-		cells = append(cells, c)
 	}
 }
 
@@ -301,6 +291,12 @@ func (g *Grid) GenerateForest(r *rng.Rand, opts ForestOptions) {
 			center := g.Center(c)
 			inClearing := false
 			for _, cl := range opts.Clearings {
+				// A centre farther than the radius on either axis is
+				// outside the circle, since Hypot(dx, dy) ≥ max(|dx|, |dy|);
+				// only the cells in the bounding square pay for Dist.
+				if absF(center.X-cl.X) > opts.ClearRadius || absF(center.Y-cl.Y) > opts.ClearRadius {
+					continue
+				}
 				if center.Dist(cl) <= opts.ClearRadius {
 					inClearing = true
 					break
@@ -325,7 +321,8 @@ func (g *Grid) GenerateForest(r *rng.Rand, opts ForestOptions) {
 // CarveRoad sets all cells along segment a→b to Road, making a drivable,
 // non-occluding strip.
 func (g *Grid) CarveRoad(a, b Vec) {
-	for _, c := range g.traverse(a, b) {
+	w := newGridWalker(g, a, b)
+	for c, ok := w.next(); ok; c, ok = w.next() {
 		g.Set(c, Road)
 	}
 }

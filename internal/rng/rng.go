@@ -9,7 +9,6 @@
 package rng
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand"
 )
@@ -20,28 +19,82 @@ import (
 type Rand struct {
 	src  *rand.Rand
 	seed uint64
+	slab *Slab // where Derive takes its streams; nil allocates fresh ones
 }
 
 // New returns a Rand rooted at the given experiment seed.
 func New(seed int64) *Rand {
 	u := uint64(seed)
-	return &Rand{
-		src:  rand.New(rand.NewSource(int64(mix(u)))),
-		seed: u,
-	}
+	return &Rand{src: rand.New(rand.NewSource(int64(mix(u)))), seed: u}
 }
 
 // Derive returns a new independent stream identified by name. Streams derived
 // with the same (seed, name) pair are identical across runs; streams with
-// different names are statistically independent.
+// different names are statistically independent. A stream from a Slab
+// derives its children from the same slab.
 func (r *Rand) Derive(name string) *Rand {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(name))
-	child := mix(r.seed ^ h.Sum64())
-	return &Rand{
-		src:  rand.New(rand.NewSource(int64(child))),
-		seed: child,
+	child := mix(r.seed ^ fnv64a(name))
+	if r.slab != nil {
+		return r.slab.stream(int64(child), child)
 	}
+	return &Rand{src: rand.New(rand.NewSource(int64(child))), seed: child}
+}
+
+// fnv64a is the 64-bit FNV-1a hash of s, as hash/fnv computes it, without
+// converting s to a byte slice.
+func fnv64a(s string) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime64
+	}
+	return h
+}
+
+// A Slab recycles the generators behind random streams, so a caller that
+// builds one run after another reuses each stream's 4.9 KB math/rand state
+// instead of allocating it again. A recycled generator is re-seeded in
+// place, which leaves it in the state a fresh one would have, so a stream
+// from a slab draws exactly what New or Derive would give.
+//
+// A slab backs one run at a time and is not safe for concurrent use. The
+// zero value is ready to use.
+type Slab struct {
+	rands []*Rand
+	used  int
+}
+
+// New returns a Rand rooted at seed, like the package-level New, whose
+// derived streams (and theirs) come from the slab. A nil slab allocates
+// fresh streams.
+func (sl *Slab) New(seed int64) *Rand {
+	if sl == nil {
+		return New(seed)
+	}
+	u := uint64(seed)
+	return sl.stream(int64(mix(u)), u)
+}
+
+// Reset hands every stream the slab gave out back to it. Those streams must
+// not be used afterwards: the slab re-seeds them for its next run.
+func (sl *Slab) Reset() { sl.used = 0 }
+
+// stream returns the slab's next generator seeded with srcSeed, deriving
+// its children from seed.
+func (sl *Slab) stream(srcSeed int64, seed uint64) *Rand {
+	if sl.used == len(sl.rands) {
+		sl.rands = append(sl.rands, &Rand{src: rand.New(rand.NewSource(srcSeed)), slab: sl})
+	} else {
+		sl.rands[sl.used].src.Seed(srcSeed)
+	}
+	r := sl.rands[sl.used]
+	r.seed = seed
+	sl.used++
+	return r
 }
 
 // mix is a splitmix64 finalizer; it decorrelates nearby seeds.

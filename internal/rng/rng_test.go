@@ -209,3 +209,66 @@ func TestPropertyPermIsPermutation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSlabMatchesFresh runs a slab through one tree of streams, hands them
+// back, and builds a different tree on the recycled generators: every
+// stream of the second tree, grandchildren included, must draw what a fresh
+// New and Derive draw. The first tree leaves a partly consumed Read buffer
+// behind, which re-seeding must drop.
+func TestSlabMatchesFresh(t *testing.T) {
+	var slab Slab
+	old := slab.New(11)
+	for _, name := range []string{"forest", "radio", "sensors"} {
+		s := old.Derive(name)
+		s.Derive(name + "/child").Int63()
+		var b [3]byte
+		_, _ = s.Read(b[:])
+		s.Float64()
+	}
+	slab.Reset()
+
+	type pair struct {
+		name        string
+		slab, fresh *Rand
+	}
+	root, freshRoot := slab.New(42), New(42)
+	streams := []pair{{"root", root, freshRoot}}
+	for _, name := range []string{"workers", "sensors", "worker-move", "radio"} {
+		s, f := root.Derive(name), freshRoot.Derive(name)
+		streams = append(streams, pair{name, s, f}, pair{name + "/gnss", s.Derive("gnss"), f.Derive("gnss")})
+	}
+	if len(slab.rands) != len(streams) {
+		t.Fatalf("slab holds %d generators for %d streams", len(slab.rands), len(streams))
+	}
+	for _, p := range streams {
+		var a, b [5]byte
+		_, _ = p.slab.Read(a[:])
+		_, _ = p.fresh.Read(b[:])
+		if a != b {
+			t.Fatalf("%s: Read = %x, fresh %x", p.name, a, b)
+		}
+		for i := 0; i < 10000; i++ {
+			if got, want := p.slab.Int63(), p.fresh.Int63(); got != want {
+				t.Fatalf("%s: draw %d = %d, fresh %d", p.name, i, got, want)
+			}
+		}
+	}
+}
+
+// TestDeriveAllocs pins the cost of a stream: a fresh Derive allocates its
+// generator, and a slab's recycled stream allocates nothing.
+func TestDeriveAllocs(t *testing.T) {
+	root := New(1)
+	if n := testing.AllocsPerRun(20, func() { root.Derive("radio") }); n == 0 {
+		t.Fatal("fresh Derive: 0 allocs, want its generator's")
+	}
+	var slab Slab
+	r := slab.New(1)
+	r.Derive("radio")
+	if n := testing.AllocsPerRun(20, func() {
+		slab.Reset()
+		slab.New(1).Derive("radio")
+	}); n != 0 {
+		t.Fatalf("recycled slab stream: %v allocs, want 0", n)
+	}
+}

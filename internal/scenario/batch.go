@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/attack"
+	"repro/internal/rng"
 	"repro/internal/worksite"
 )
 
@@ -70,9 +71,17 @@ func (b *Batch) Spec() Spec { return b.spec }
 // Build compiles one per-seed session over the shared commissioned state,
 // with the same contract as the package-level Build.
 func (b *Batch) Build(seed int64, d time.Duration) (*worksite.Session, *attack.Campaign, error) {
+	return b.BuildOn(nil, seed, d)
+}
+
+// BuildOn is Build with the session's random streams taken from slab, for a
+// caller that runs one session after another and recycles their streams
+// (see rng.Slab). The bytes are Build's. The slab must not be Reset while
+// the session is in use.
+func (b *Batch) BuildOn(slab *rng.Slab, seed int64, d time.Duration) (*worksite.Session, *attack.Campaign, error) {
 	sh, err := b.security()
 	if err != nil {
 		return nil, nil, err
 	}
-	return buildShared(b.spec, sh, seed, d)
+	return buildShared(b.spec, sh, slab, seed, d)
 }

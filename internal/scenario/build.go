@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/attack"
+	"repro/internal/rng"
 	"repro/internal/worksite"
 )
 
@@ -19,20 +20,20 @@ import (
 // RunUntil.
 // The returned campaign exposes the window and phase logs for reports.
 func Build(spec Spec, seed int64, d time.Duration) (*worksite.Session, *attack.Campaign, error) {
-	return buildShared(spec, nil, seed, d)
+	return buildShared(spec, nil, nil, seed, d)
 }
 
 // buildShared is Build with an optional shared security bundle (see Batch):
 // identical compilation, but the session adopts the batch's commissioned
 // PKI/channel state instead of re-running keygen and handshakes.
-func buildShared(spec Spec, sh *worksite.SharedSecurity, seed int64, d time.Duration) (*worksite.Session, *attack.Campaign, error) {
+func buildShared(spec Spec, sh *worksite.SharedSecurity, slab *rng.Slab, seed int64, d time.Duration) (*worksite.Session, *attack.Campaign, error) {
 	if d <= 0 {
 		return nil, nil, fmt.Errorf("scenario %q: duration must be positive, got %v", spec.Name, d)
 	}
 	if err := spec.Validate(); err != nil {
 		return nil, nil, err
 	}
-	sess, err := worksite.NewSessionShared(spec.Config(seed), sh)
+	sess, err := worksite.NewSessionShared(spec.Config(seed), sh, slab)
 	if err != nil {
 		return nil, nil, fmt.Errorf("scenario %q: %w", spec.Name, err)
 	}

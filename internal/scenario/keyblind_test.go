@@ -33,7 +33,7 @@ func TestKeyBlind(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: commission under key seed %d: %v", name, keySeed, err)
 			}
-			sess, _, err := buildShared(spec, sh, seed, horizon)
+			sess, _, err := buildShared(spec, sh, nil, seed, horizon)
 			if err != nil {
 				t.Fatalf("%s: build: %v", name, err)
 			}

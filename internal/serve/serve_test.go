@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/scenario"
 	"repro/internal/worksite"
 )
@@ -276,6 +277,7 @@ func TestSubmitCaps(t *testing.T) {
 		{"count that overflows the cube", "/v1/sweeps", `{"seeds":{"count":9223372036854775807}}`, "seeds.count"},
 		{"count that overflows int64", "/v1/sweeps", `{"seeds":{"count":99999999999999999999}}`, "seeds.count"},
 		{"fractional count", "/v1/sweeps", `{"seeds":{"count":1.5}}`, "seeds.count"},
+		{"negative seed count", "/v1/sweeps", `{"scenarios":["baseline"],"seeds":{"base":7,"count":-2}}`, "seeds.count"},
 		{"negative sample interval", "/v1/sweeps", `{"scenarios":["baseline"],"sampleNs":-1}`, "sampleNs"},
 		{"one-nanosecond samples over a day", "/v1/sweeps",
 			fmt.Sprintf(`{"scenarios":["baseline"],"profiles":["secured"],"durationNs":%d,"sampleNs":1}`, int64(maxSimDuration)), "sampleNs"},
@@ -299,6 +301,24 @@ func TestSubmitCaps(t *testing.T) {
 	}
 	if runs, sweeps := len(s.runs.all()), len(s.sweeps.all()); runs != 0 || sweeps != 0 {
 		t.Fatalf("rejected submissions created %d runs and %d sweeps", runs, sweeps)
+	}
+
+	// A zero count is accepted as one run at the caller's base, not the
+	// default range.
+	t.Run("zero seed count", func(t *testing.T) {
+		rec := httptest.NewRecorder()
+		body := `{"scenarios":["baseline"],"profiles":["unsecured"],"seeds":{"base":7,"count":0},"durationNs":1000000000}`
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweeps", strings.NewReader(body)))
+		var st sweepStatus
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatalf("decode %q: %v", rec.Body, err)
+		}
+		if want := (campaign.SeedRange{Base: 7, Count: 1}); rec.Code != http.StatusAccepted || st.Seeds != want {
+			t.Fatalf("status %d seeds %+v, want 202 seeds %+v", rec.Code, st.Seeds, want)
+		}
+	})
+	if err := s.drain(&http.Server{}); err != nil {
+		t.Fatalf("drain: %v", err)
 	}
 }
 

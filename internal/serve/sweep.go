@@ -19,9 +19,10 @@ type sweepRequest struct {
 	Scenarios []string `json:"scenarios,omitempty"`
 	// Profiles are named defence selections; empty selects every profile.
 	Profiles []string `json:"profiles,omitempty"`
-	// Seeds is the per-cell seed range; a zero count defaults to one run
-	// at seed 42.
-	Seeds campaign.SeedRange `json:"seeds"`
+	// Seeds is the per-cell seed range. Omitted, it is one run at seed 42;
+	// a zero count is one run at the range's base, and a negative count is
+	// rejected.
+	Seeds *campaign.SeedRange `json:"seeds"`
 	// DurationNs is the simulated duration per run (0 = 10 minutes).
 	DurationNs int64 `json:"durationNs,omitempty"`
 	// Parallel bounds the one worker pool over the whole cube (0 = the
@@ -135,9 +136,13 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 			Code: "unknown_early_stop", Field: "earlyStop", Message: err.Error()})
 		return
 	}
-	seeds := req.Seeds
-	if seeds.Count <= 0 {
-		seeds = campaign.SeedRange{Base: DefaultSeed, Count: 1}
+	seeds := campaign.SeedRange{Base: DefaultSeed, Count: 1}
+	if req.Seeds != nil {
+		if req.Seeds.Count < 0 {
+			writeError(w, invalidField("seeds.count", "seed count must not be negative"))
+			return
+		}
+		seeds = campaign.SeedRange{Base: req.Seeds.Base, Count: max(req.Seeds.Count, 1)}
 	}
 	duration := time.Duration(req.DurationNs)
 	if duration < 0 {

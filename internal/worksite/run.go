@@ -426,9 +426,9 @@ func (s *Site) drive(dt time.Duration) {
 func (s *Site) navDone() bool { return s.navIdx >= len(s.navPath) }
 
 func (s *Site) planTo(goal, from geo.Vec) {
-	path, err := s.grid.FindPath(from, goal)
+	path, err := s.grid.FindPath(s.navPath[:0], from, goal)
 	if err != nil {
-		path = []geo.Vec{goal}
+		path = append(path, goal)
 	}
 	s.navPath = path
 	s.navIdx = 0

@@ -54,10 +54,12 @@ func CommissionSecurity(cfg Config) (*SharedSecurity, error) {
 	return sh, nil
 }
 
-// NewShared commissions a worksite like New, adopting the shared security
-// bundle instead of re-running keygen and handshakes. A nil bundle is the
-// plain New path.
-func NewShared(cfg Config, sh *SharedSecurity) (*Site, error) {
+// NewSessionShared is NewSession over a shared security bundle: the site
+// adopts the bundle instead of re-running keygen and handshakes, and a nil
+// bundle is the plain NewSession path. The site's random streams come from
+// slab (see rng.Slab), or fresh ones when slab is nil; a caller that passes
+// a slab must not Reset it while the session is in use.
+func NewSessionShared(cfg Config, sh *SharedSecurity, slab *rng.Slab) (*Session, error) {
 	if sh != nil {
 		if sh.droneEnabled != cfg.DroneEnabled {
 			return nil, fmt.Errorf("worksite: shared security was commissioned with droneEnabled=%v, config wants %v", sh.droneEnabled, cfg.DroneEnabled)
@@ -66,12 +68,7 @@ func NewShared(cfg Config, sh *SharedSecurity) (*Site, error) {
 			return nil, fmt.Errorf("worksite: config wants secure channels but the shared bundle was commissioned without them")
 		}
 	}
-	return newSite(cfg, sh)
-}
-
-// NewSessionShared is NewSession over a shared security bundle.
-func NewSessionShared(cfg Config, sh *SharedSecurity) (*Session, error) {
-	site, err := NewShared(cfg, sh)
+	site, err := newSite(cfg, sh, slab)
 	if err != nil {
 		return nil, err
 	}

@@ -286,13 +286,15 @@ func (p missionPhase) String() string {
 }
 
 // New builds and commissions a worksite from cfg.
-func New(cfg Config) (*Site, error) { return newSite(cfg, nil) }
+func New(cfg Config) (*Site, error) { return newSite(cfg, nil, nil) }
 
-func newSite(cfg Config, sh *SharedSecurity) (*Site, error) {
+// newSite builds a site whose random streams come from slab, or fresh ones
+// when slab is nil.
+func newSite(cfg Config, sh *SharedSecurity, slab *rng.Slab) (*Site, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	r := rng.New(cfg.Seed)
+	r := slab.New(cfg.Seed)
 	grid, err := geo.NewGrid(cfg.Cols, cfg.Rows, cfg.CellSizeM)
 	if err != nil {
 		return nil, fmt.Errorf("worksite: %w", err)
